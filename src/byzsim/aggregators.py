@@ -19,6 +19,7 @@ the verification fuzzer reports their empirical ratio instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -65,6 +66,14 @@ class AggregatorSpec:
             raise ConfigError(f"krum needs n - B - 2 >= 1, got n={self.n}, B={self.B}")
         if self.gm_nu <= 0:
             raise ConfigError("gm smoothing nu must be > 0")
+        if self.trim_b is not None:
+            if not isinstance(self.trim_b, Real) or not float(self.trim_b).is_integer():
+                raise ConfigError(f"trim_b must be an integer, got {self.trim_b!r}")
+            object.__setattr__(self, "trim_b", int(self.trim_b))
+            if not 0 <= self.trim_b < self.n / 2:
+                raise ConfigError(
+                    f"need 0 <= trim_b < n/2, got trim_b={self.trim_b}, n={self.n}"
+                )
 
     @property
     def trim_count(self) -> int:

@@ -1,10 +1,11 @@
 """Byzantine worker strategies.
 
-Each attack is a pure function of (spec, context, worker): the context
-carries everything the omniscient adversary can see this iteration
-(all honest momentum vectors, their mean and coordinate-wise spread, and
-the mean of the honest stochastic gradients), and the worker carries its
-own honest-protocol state, which several attacks reuse.
+``byzantine_update`` computes the vectors of the whole Byzantine block at
+once, as a pure function of (spec, iteration, momenta, gradients): the
+(n, d) arrays hold every worker's honest-protocol momentum and this
+iteration's stochastic gradient, the G honest rows first. The omniscient
+adversary sees all of it; the attacks that need honest statistics read
+them from an :class:`AttackContext`, built only when they do.
 
 Strategies:
 
@@ -82,27 +83,28 @@ class AttackContext:
         )
 
 
-def byzantine_update(spec: AttackSpec, ctx: AttackContext, worker) -> np.ndarray:
-    """Vector transmitted by a Byzantine worker this iteration.
+def byzantine_update(
+    spec: AttackSpec, iteration: int, momenta: np.ndarray, grads: np.ndarray, G: int
+) -> np.ndarray:
+    """(B, d) vectors the Byzantine workers transmit this iteration.
 
-    ``worker`` is an engine WorkerState whose momentum already holds the
-    honest-protocol value for this iteration (label-flip poisoning, when
-    active, has already been applied inside its oracle).
+    ``iteration`` is 0-based. Rows ``G:`` of ``momenta`` and ``grads`` are
+    the Byzantine workers' own honest-protocol momenta and stochastic
+    gradients (label-flip poisoning, when active, is already in them);
+    rows ``:G`` are the honest workers'.
     """
-    if worker.role != "byzantine":
-        raise ConfigError(f"worker {worker.id} is not byzantine")
-    if spec.kind in ("none", "label_flip"):
-        return worker.momentum.copy()
+    B = momenta.shape[0] - G
     if spec.kind == "bit_flip":
-        if spec.bf_gradient_level:
-            return -worker.last_gradient
-        return -worker.momentum
+        return -(grads[G:] if spec.bf_gradient_level else momenta[G:])
+    if spec.kind in ("none", "label_flip") or (
+        spec.kind == "mimic" and iteration < spec.mimic_warmup
+    ):
+        return momenta[G:].copy()
+    ctx = AttackContext.from_honest(iteration, momenta[:G], grads[:G])
     if spec.kind == "mimic":
-        if ctx.iteration < spec.mimic_warmup:
-            return worker.momentum.copy()
-        return -2.0 * ctx.gradient_mean
+        return np.tile(-2.0 * ctx.gradient_mean, (B, 1))
     # alie
-    return ctx.honest_mean + spec.alie_z * ctx.coord_std
+    return np.tile(ctx.honest_mean + spec.alie_z * ctx.coord_std, (B, 1))
 
 
 def shift_labels(labels, c: int, C: int) -> np.ndarray:

@@ -92,11 +92,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    text = Path(args.config).read_text()
-    try:
-        manifest = harness.ExperimentManifest.from_dict(json.loads(text))
-    except json.JSONDecodeError as e:
-        raise harness.ConfigFileError(args.config, e.lineno, e.msg) from e
+    manifest = harness.load_manifest(args.config)
     table = harness.run_sweep(manifest, args.out, jobs=args.jobs)
     print(table.format_table())
     return 0

@@ -8,18 +8,30 @@ optimizer rescales the aggregate to unit norm so the step length is
 exactly the scheduled gamma (or zero when the aggregate vanishes);
 the two baselines step with the raw aggregate and may diverge on
 rapidly-growing objectives, which the run reports rather than raises.
+
+Worker state is held as (n, d) arrays, one row per worker, the G honest
+rows first: fixed shifts, momenta, and this step's stochastic gradients.
+A worker's oracle draw is ``(gradient + noise) + shift``, row-wise over
+the whole array. Worker i's noise comes from its own stream
+``RngStream(seed, i)``, drawn in chunks of at most ``NOISE_CHUNK`` steps;
+a Philox draw of c*d normals equals c successive draws of d normals bit
+for bit, so the chunking leaves every trajectory unchanged. Only rows
+with a label table (label-flipped Byzantine workers, or all rows of an
+``oracle.labels`` table) replace the full-data gradient with their own
+shard gradient.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregators import AggregatorSpec, aggregate, base_kappa
-from .attacks import AttackContext, AttackSpec, byzantine_update, shift_labels
+from .attacks import AttackSpec, byzantine_update, shift_labels
 from .core import (
     SHIFT_STREAM,
     ConfigError,
@@ -40,7 +52,6 @@ from .objectives import (
 )
 
 __all__ = [
-    "WorkerState",
     "Schedule",
     "RunConfig",
     "TrajectoryRecord",
@@ -55,23 +66,9 @@ logger = logging.getLogger("byzsim")
 
 OPTIMIZERS = ("byz_nsgdm", "baseline", "baseline_decay")
 SCHEDULE_KINDS = ("theoretical", "practical_decay", "constant")
-
-
-@dataclass
-class WorkerState:
-    """Per-worker state: role, momentum buffer, fixed heterogeneity shift,
-    and a private random stream. ``labels``/``shard`` are set only for
-    classification workers that use worker-specific labels (including
-    label-flipped Byzantine workers)."""
-
-    id: int
-    role: str
-    momentum: np.ndarray
-    shift: np.ndarray
-    rng: RngStream
-    last_gradient: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    shard: slice | None = None
+# Most steps of oracle noise drawn per worker at once: 64 x n x d floats,
+# about 2 MB at n=20, d=200.
+NOISE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -203,49 +200,56 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("softmax objective must be sized for at least n workers")
 
 
-def _build_workers(config: RunConfig) -> list[WorkerState]:
-    spec = config.objective
-    d = spec.dim
+def _worker_shifts(config: RunConfig) -> np.ndarray:
+    """(n, d) heterogeneity shifts: centered draws for the G honest rows,
+    zero rows for the Byzantine workers, whose oracles are vanilla
+    (gradient + noise)."""
+    d = config.objective.dim
     G = config.n - config.B
-    honest_shifts = make_shifts(
+    shifts = np.zeros((config.n, d))
+    shifts[:G] = make_shifts(
         RngStream(config.seed, SHIFT_STREAM), G, d, config.oracle.shift_variance
     )
-    workers = []
-    for i in range(config.n):
-        honest = i < G
-        # Heterogeneity shifts model honest data; Byzantine oracles are
-        # vanilla (gradient + noise).
-        shift = honest_shifts[i] if honest else np.zeros(d)
-        w = WorkerState(
-            id=i,
-            role="honest" if honest else "byzantine",
-            momentum=np.zeros(d),
-            shift=shift,
-            rng=RngStream(config.seed, i),
-        )
-        if spec.is_classification:
-            shard = worker_shard(spec, i)
-            labels = None
-            if config.oracle.labels is not None:
-                labels = np.asarray(config.oracle.labels[i])
-            if not honest and config.attack.kind == "label_flip":
-                base = labels if labels is not None else softmax_dataset(spec)[1][shard]
-                labels = shift_labels(base, config.attack.label_shift, spec.n_classes)
-            if labels is not None:
-                w.shard = shard
-                w.labels = labels
-        workers.append(w)
-    return workers
+    return shifts
 
 
-def _oracle(config: RunConfig, w: WorkerState, x: np.ndarray, base_grad: np.ndarray) -> np.ndarray:
+def _labeled_rows(config: RunConfig) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(worker, labels, shard features) for each worker whose oracle uses
+    its own labels: every row of an ``oracle.labels`` table, and the
+    label-flipped Byzantine workers."""
     spec = config.objective
-    if w.labels is None:
-        g = base_grad
-    else:
-        feats = softmax_dataset(spec)[0][w.shard]
-        g = gradient_with_labels(spec, x, w.labels, feats=feats)
-    return g + gaussian_vector(w.rng, spec.dim, config.oracle.noise_variance) + w.shift
+    if not spec.is_classification:
+        return []
+    G = config.n - config.B
+    feats, dataset_labels = softmax_dataset(spec)
+    rows = []
+    for i in range(config.n):
+        shard = worker_shard(spec, i)
+        labels = None
+        if config.oracle.labels is not None:
+            labels = np.asarray(config.oracle.labels[i])
+        if i >= G and config.attack.kind == "label_flip":
+            base = labels if labels is not None else dataset_labels[shard]
+            labels = shift_labels(base, config.attack.label_shift, spec.n_classes)
+        if labels is not None:
+            rows.append((i, labels, feats[shard]))
+    return rows
+
+
+def _noise_steps(config: RunConfig, steps: int) -> Iterator[np.ndarray]:
+    """Yield the (n, d) oracle noise of each of ``steps`` steps. Worker i
+    draws from ``RngStream(seed, i)`` in chunks of at most NOISE_CHUNK
+    steps, never past the steps that are left."""
+    d = config.objective.dim
+    rngs = [RngStream(config.seed, i) for i in range(config.n)]
+    while steps > 0:
+        c = min(NOISE_CHUNK, steps)
+        steps -= c
+        yield from np.stack(
+            [gaussian_vector(rng, c * d, config.oracle.noise_variance).reshape(c, d)
+             for rng in rngs],
+            axis=1,
+        )
 
 
 def _warn_gamma0(config: RunConfig) -> None:
@@ -273,22 +277,31 @@ def run(config: RunConfig, capture_states: bool = False) -> RunResult:
     _validate(config)
     _warn_gamma0(config)
     spec = config.objective
-    n, G = config.n, config.n - config.B
-    workers = _build_workers(config)
+    G = config.n - config.B
+    shifts = _worker_shifts(config)
+    labeled = _labeled_rows(config)
+    noise_steps = _noise_steps(config, config.K + 1)
     x = np.array(config.x0, dtype=float)
 
-    base_grad = gradient(spec, x)
-    for w in workers:
-        g = _oracle(config, w, x, base_grad)
-        w.last_gradient = g
-        w.momentum = g if config.init_momentum == "stochastic_gradient" else np.zeros(spec.dim)
+    def oracle(x: np.ndarray, base_grad: np.ndarray) -> np.ndarray:
+        noise = next(noise_steps)
+        grads = base_grad + noise
+        for i, labels, feats in labeled:
+            grads[i] = gradient_with_labels(spec, x, labels, feats=feats) + noise[i]
+        grads += shifts
+        return grads
 
-    momenta = np.stack([w.momentum for w in workers])
-    grads = np.empty_like(momenta)
+    base_grad = gradient(spec, x)
+    grads = oracle(x, base_grad)
+    if config.init_momentum == "stochastic_gradient":
+        momenta = grads.copy()
+    else:
+        momenta = np.zeros_like(grads)
+
     result = RunResult(
         records=[],
         final_x=x,
-        honest_shifts=[w.shift for w in workers if w.role == "honest"],
+        honest_shifts=list(shifts[:G]),
         states=[x.copy()] if capture_states else None,
         aggregates=[] if capture_states else None,
     )
@@ -299,19 +312,14 @@ def run(config: RunConfig, capture_states: bool = False) -> RunResult:
     for k in range(1, config.K + 1):
         gamma, eta = schedule_values(config.schedule, k - 1)
         base_grad = gradient(spec, x)
-        for i, w in enumerate(workers):
-            grads[i] = _oracle(config, w, x, base_grad)
+        grads = oracle(x, base_grad)
         momenta *= 1.0 - eta
         momenta += eta * grads
-        for i, w in enumerate(workers):
-            w.momentum = momenta[i]
-            w.last_gradient = grads[i]
 
-        sent = momenta.copy()
+        sent = momenta
         if config.B > 0:
-            ctx = AttackContext.from_honest(k - 1, momenta[:G], grads[:G])
-            for w in workers[G:]:
-                sent[w.id] = byzantine_update(config.attack, ctx, w)
+            byz = byzantine_update(config.attack, k - 1, momenta, grads, G)
+            sent = np.concatenate((momenta[:G], byz))
 
         v = aggregate(config.aggregator, sent)
         if config.optimizer == "byz_nsgdm":

@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "ExperimentManifest",
     "SummaryTable",
     "load_config",
+    "load_manifest",
     "parse_config",
     "config_to_dict",
     "write_trajectory_csv",
@@ -78,6 +80,33 @@ def _key_line(text: str, key: str) -> int | None:
     return None
 
 
+def _error_line(text: str, message: str) -> int | None:
+    """Best effort: the line of the first key the message quotes, else of
+    the first word of the message that is a key in the file."""
+    tokens = re.findall(r"'([^']+)'", message)
+    tokens += [t.strip("'\":") for t in message.replace(",", " ").split()]
+    for token in tokens:
+        line = _key_line(text, token)
+        if line:
+            return line
+    return None
+
+
+def _names(cls, exclude=()) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls)) - frozenset(exclude)
+
+
+def _check_keys(d, allowed: frozenset[str], where: str) -> dict:
+    """Return ``d`` if it is an object whose keys all lie in ``allowed``;
+    otherwise raise a ConfigError that quotes the offending key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return d
+
+
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -86,7 +115,19 @@ def _fmt(v: float) -> str:
 # Config parsing
 
 
+RUN_KEYS = _names(RunConfig) | {"schema"}
+OBJECTIVE_KEYS = _names(ObjectiveSpec)
+ORACLE_KEYS = _names(OracleConfig)
+ATTACK_KEYS = _names(AttackSpec)
+AGGREGATOR_KEYS = _names(AggregatorSpec, exclude=("n", "B"))
+SCHEDULE_KEYS = _names(Schedule)
+MANIFEST_KEYS = frozenset({"schema", "base", "sweep", "tuning"})
+SWEEP_KEYS = frozenset({"seeds", "attacks", "aggregators", "optimizers"})
+TUNING_KEYS = frozenset({"enabled", "grid", "prefix_iters"})
+
+
 def parse_objective(d: dict) -> ObjectiveSpec:
+    _check_keys(d, OBJECTIVE_KEYS, "objective")
     kind = d.get("kind", "quartic")
     dim = int(d.get("dim", 10))
     if kind == "exponential":
@@ -105,6 +146,7 @@ def parse_objective(d: dict) -> ObjectiveSpec:
 
 
 def parse_aggregator(d: dict, n: int, B: int) -> AggregatorSpec:
+    _check_keys(d, AGGREGATOR_KEYS, "aggregator")
     return AggregatorSpec(
         rule=d.get("rule", "mean"),
         n=n,
@@ -118,6 +160,7 @@ def parse_aggregator(d: dict, n: int, B: int) -> AggregatorSpec:
 
 
 def parse_attack(d: dict) -> AttackSpec:
+    _check_keys(d, ATTACK_KEYS, "attack")
     return AttackSpec(
         kind=d.get("kind", "none"),
         mimic_warmup=int(d.get("mimic_warmup", 50)),
@@ -128,6 +171,7 @@ def parse_attack(d: dict) -> AttackSpec:
 
 
 def parse_schedule(d: dict, K: int) -> Schedule:
+    _check_keys(d, SCHEDULE_KEYS, "schedule")
     kind = d.get("kind", "constant")
     horizon = d.get("horizon", K if kind == "theoretical" else None)
     return Schedule(
@@ -150,13 +194,16 @@ def _parse_x0(spec_x0, dim: int) -> np.ndarray:
 
 
 def parse_config(d: dict) -> RunConfig:
+    """Build a RunConfig from a config dict; unknown keys at any level
+    raise ConfigError."""
+    _check_keys(d, RUN_KEYS, "config")
     if d.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported or missing schema version (want {SCHEMA_VERSION})")
     objective = parse_objective(d.get("objective", {}))
     n = int(d.get("n", 20))
     B = int(d.get("B", 0))
     K = int(d.get("K", 1000))
-    oracle_d = d.get("oracle", {})
+    oracle_d = _check_keys(d.get("oracle", {}), ORACLE_KEYS, "oracle")
     labels = oracle_d.get("labels")
     oracle = OracleConfig(
         noise_variance=float(oracle_d.get("noise_variance", 0.0)),
@@ -180,7 +227,7 @@ def parse_config(d: dict) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def _load(path, parse):
     path = Path(path)
     text = path.read_text()
     try:
@@ -188,15 +235,19 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigFileError(path, e.lineno, e.msg) from e
     try:
-        return parse_config(data)
+        return parse(data)
     except ConfigError as e:
-        # Best effort: point at the first key mentioned in the message.
-        line = None
-        for token in str(e).replace(",", " ").split():
-            line = _key_line(text, token.strip("'\":"))
-            if line:
-                break
-        raise ConfigFileError(path, line, str(e)) from e
+        raise ConfigFileError(path, _error_line(text, str(e)), str(e)) from e
+
+
+def load_config(path) -> RunConfig:
+    """Parse a run config file; errors carry ``file:line``."""
+    return _load(path, parse_config)
+
+
+def load_manifest(path) -> "ExperimentManifest":
+    """Parse a sweep manifest file; errors carry ``file:line``."""
+    return _load(path, ExperimentManifest.from_dict)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -327,17 +378,27 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentManifest":
+        """Parse a manifest dict. Sweep axes it omits default to the base
+        config's single setting; unknown keys at any level raise
+        ConfigError."""
+        _check_keys(d, MANIFEST_KEYS, "manifest")
         if d.get("schema") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported or missing schema version (want {SCHEMA_VERSION})")
+        if not isinstance(d.get("base"), dict):
+            raise ConfigError("manifest needs a 'base' config object")
         base = parse_config({**d["base"], "schema": SCHEMA_VERSION})
-        sweep = d.get("sweep", {})
-        tuning = d.get("tuning", {})
+        sweep = _check_keys(d.get("sweep", {}), SWEEP_KEYS, "sweep")
+        tuning = _check_keys(d.get("tuning", {}), TUNING_KEYS, "tuning")
+        attacks = sweep.get("attacks")
+        aggregators = sweep.get("aggregators")
         return cls(
             base=base,
             seeds=tuple(int(s) for s in sweep.get("seeds", [base.seed])),
-            attacks=tuple(parse_attack(a) for a in sweep.get("attacks", [{}])),
-            aggregators=tuple(
-                parse_aggregator(a, base.n, base.B) for a in sweep.get("aggregators", [{}])
+            attacks=(base.attack,) if attacks is None else tuple(
+                parse_attack(a) for a in attacks
+            ),
+            aggregators=(base.aggregator,) if aggregators is None else tuple(
+                parse_aggregator(a, base.n, base.B) for a in aggregators
             ),
             optimizers=tuple(sweep.get("optimizers", [base.optimizer])),
             tune=bool(tuning.get("enabled", True)),
@@ -432,6 +493,11 @@ def _cell_config(
     K: int,
     log_every: int | None = None,
 ) -> RunConfig:
+    """The run of one sweep cell: the base config with the cell's attack,
+    aggregator, optimizer, gamma0, seed and K. The schedule kind is not
+    the base's but the one ``OPTIMIZER_SCHEDULE`` pairs with the
+    optimizer; the base's momentum beta and ``init_momentum`` carry
+    over."""
     base = manifest.base
     sched = Schedule(
         kind=OPTIMIZER_SCHEDULE[optimizer],
@@ -452,6 +518,7 @@ def _cell_config(
         seed=seed,
         x0=base.x0.copy(),
         log_every=log_every or base.log_every,
+        init_momentum=base.init_momentum,
     )
 
 

@@ -219,7 +219,9 @@ def stochastic_gradient(
     noise_variance: float,
 ) -> np.ndarray:
     """Honest oracle draw: exact gradient plus Gaussian noise plus the
-    worker's fixed shift."""
+    worker's fixed shift. The engine draws all workers' values at once as
+    (n, d) arrays; this one-worker form is the reference it is tested
+    against."""
     return gradient(spec, x) + gaussian_vector(rng, spec.dim, noise_variance) + shift
 
 

@@ -353,6 +353,13 @@ def test_kappa_nnm_composition():
     assert theoretical_kappa(spec, d=10, leverage_c=2.0) == pytest.approx(expected)
 
 
+def test_trim_b_cast_and_checked_when_built():
+    assert AggregatorSpec(rule="trimmed_mean", n=20, B=3, trim_b=2.0).trim_b == 2
+    for bad in (10, -1, 2.5, "2"):
+        with pytest.raises(ConfigError, match="trim_b"):
+            AggregatorSpec(rule="trimmed_mean", n=20, B=3, trim_b=bad)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         AggregatorSpec(rule="mean", n=4, B=2)

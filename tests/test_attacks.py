@@ -3,81 +3,91 @@ import pytest
 
 from byzsim.attacks import AttackContext, AttackSpec, byzantine_update, shift_labels
 from byzsim.core import ConfigError
-from byzsim.engine import WorkerState, RngStream
 
 
-def make_worker(momentum, gradient=None, role="byzantine"):
-    return WorkerState(
-        id=9,
-        role=role,
-        momentum=np.asarray(momentum, dtype=float),
-        shift=np.zeros(len(momentum)),
-        rng=RngStream(0, 9),
-        last_gradient=None if gradient is None else np.asarray(gradient, dtype=float),
-    )
+def block(honest, byzantine):
+    """(n, d) array with the honest rows first, and G."""
+    honest = np.asarray(honest, dtype=float)
+    return np.vstack([honest, np.asarray(byzantine, dtype=float)]), len(honest)
 
 
-def make_ctx(iteration, honest_updates, honest_gradients=None):
-    updates = np.asarray(honest_updates, dtype=float)
-    grads = updates if honest_gradients is None else np.asarray(honest_gradients, dtype=float)
-    return AttackContext.from_honest(iteration, updates, grads)
-
-
-def test_honest_role_rejected():
-    with pytest.raises(ConfigError):
-        byzantine_update(AttackSpec("none"), make_ctx(0, [[1.0]]), make_worker([1.0], role="honest"))
+def update(spec, iteration, honest, byzantine, honest_grads=None, byzantine_grads=None):
+    momenta, G = block(honest, byzantine)
+    grads = momenta if honest_grads is None else block(
+        honest_grads, byzantine if byzantine_grads is None else byzantine_grads)[0]
+    return byzantine_update(spec, iteration, momenta, grads, G)
 
 
 def test_none_sends_honest_momentum():
-    w = make_worker([2.0, -1.0])
-    out = byzantine_update(AttackSpec("none"), make_ctx(0, [[0.0, 0.0]]), w)
-    np.testing.assert_array_equal(out, [2.0, -1.0])
+    out = update(AttackSpec("none"), 0, [[0.0, 0.0]], [[2.0, -1.0]])
+    np.testing.assert_array_equal(out, [[2.0, -1.0]])
 
 
 def test_bit_flip_negates_momentum():
-    w = make_worker([3.0, -4.0])
-    out = byzantine_update(AttackSpec("bit_flip"), make_ctx(0, [[0.0, 0.0]]), w)
-    np.testing.assert_array_equal(out, [-3.0, 4.0])
+    out = update(AttackSpec("bit_flip"), 0, [[0.0, 0.0]], [[3.0, -4.0]])
+    np.testing.assert_array_equal(out, [[-3.0, 4.0]])
 
 
 def test_bit_flip_gradient_level():
-    w = make_worker([3.0, -4.0], gradient=[1.0, 2.0])
     spec = AttackSpec("bit_flip", bf_gradient_level=True)
-    out = byzantine_update(spec, make_ctx(0, [[0.0, 0.0]]), w)
-    np.testing.assert_array_equal(out, [-1.0, -2.0])
+    out = update(spec, 0, [[0.0, 0.0]], [[3.0, -4.0]],
+                 honest_grads=[[0.0, 0.0]], byzantine_grads=[[1.0, 2.0]])
+    np.testing.assert_array_equal(out, [[-1.0, -2.0]])
 
 
 def test_mimic_warmup_then_attack():
-    w = make_worker([7.0, 7.0])
     spec = AttackSpec("mimic", mimic_warmup=50)
-    ctx49 = make_ctx(49, [[5.0, 5.0]], [[1.0, 1.0]])
-    np.testing.assert_array_equal(byzantine_update(spec, ctx49, w), [7.0, 7.0])
-    ctx50 = make_ctx(50, [[5.0, 5.0]], [[1.0, 1.0]])
-    np.testing.assert_array_equal(byzantine_update(spec, ctx50, w), [-2.0, -2.0])
+    args = ([[5.0, 5.0]], [[7.0, 7.0]], [[1.0, 1.0]])
+    np.testing.assert_array_equal(update(spec, 49, *args), [[7.0, 7.0]])
+    np.testing.assert_array_equal(update(spec, 50, *args), [[-2.0, -2.0]])
 
 
 def test_alie_zero_dispersion_returns_mean():
     u = np.array([1.5, -0.5])
-    ctx = make_ctx(0, [u, u, u])
-    out = byzantine_update(AttackSpec("alie"), ctx, make_worker([0.0, 0.0]))
-    np.testing.assert_array_equal(out, u)
+    out = update(AttackSpec("alie"), 0, [u, u, u], [[0.0, 0.0]])
+    np.testing.assert_array_equal(out, [u])
 
 
 def test_alie_offset_is_exactly_z_sigma():
     updates = np.array([[1.0, 0.0], [3.0, 4.0], [2.0, 2.0]])
     z = 1.7
-    ctx = make_ctx(0, updates)
-    out = byzantine_update(AttackSpec("alie", alie_z=z), ctx, make_worker([0.0, 0.0]))
-    np.testing.assert_array_equal(out, ctx.honest_mean + z * ctx.coord_std)
-    np.testing.assert_allclose(np.abs(out - updates.mean(axis=0)),
+    ctx = AttackContext.from_honest(0, updates, updates)
+    out = update(AttackSpec("alie", alie_z=z), 0, updates, [[0.0, 0.0]])
+    np.testing.assert_array_equal(out, [ctx.honest_mean + z * ctx.coord_std])
+    np.testing.assert_allclose(np.abs(out[0] - updates.mean(axis=0)),
                                z * updates.std(axis=0), rtol=1e-14)
 
 
 def test_alie_uses_population_std():
     updates = np.array([[0.0], [2.0]])
-    ctx = make_ctx(0, updates)
+    ctx = AttackContext.from_honest(0, updates, updates)
     # population std of {0, 2} is 1 (not sqrt(2))
     np.testing.assert_array_equal(ctx.coord_std, [1.0])
+
+
+def test_three_byzantine_rows():
+    """Each kind returns one row per Byzantine worker: the per-worker kinds
+    act on each worker's own row, the honest-statistics kinds send the same
+    vector from every row."""
+    honest = [[1.0, 0.0], [3.0, 4.0], [2.0, 2.0], [2.0, 6.0]]
+    byz = [[7.0, 1.0], [-2.0, 5.0], [0.5, -0.5]]
+    byz_grads = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+    honest_grads = [[4.0, 0.0], [0.0, 4.0], [4.0, 4.0], [0.0, 0.0]]
+    kw = dict(honest_grads=honest_grads, byzantine_grads=byz_grads)
+    np.testing.assert_array_equal(update(AttackSpec("none"), 0, honest, byz, **kw), byz)
+    np.testing.assert_array_equal(update(AttackSpec("label_flip"), 0, honest, byz, **kw), byz)
+    np.testing.assert_array_equal(
+        update(AttackSpec("bit_flip"), 0, honest, byz, **kw), -np.asarray(byz))
+    np.testing.assert_array_equal(
+        update(AttackSpec("bit_flip", bf_gradient_level=True), 0, honest, byz, **kw),
+        -np.asarray(byz_grads))
+    np.testing.assert_array_equal(
+        update(AttackSpec("mimic", mimic_warmup=0), 0, honest, byz, **kw),
+        np.tile([-4.0, -4.0], (3, 1)))
+    ctx = AttackContext.from_honest(0, honest, honest_grads)
+    np.testing.assert_array_equal(
+        update(AttackSpec("alie"), 0, honest, byz, **kw),
+        np.tile(ctx.honest_mean + ctx.coord_std, (3, 1)))
 
 
 def test_shift_labels_examples():

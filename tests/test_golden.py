@@ -1,0 +1,157 @@
+"""Golden trajectory pins.
+
+Each config below is run and its trajectory CSV, exactly as
+``write_trajectory_csv`` writes it, is hashed with sha256. A change to
+the engine, the oracle, the attacks or the rules that alters one output
+bit fails here; a change that means to alter bits must say so and
+re-pin. Every run is short (K <= 150), so the module takes seconds.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from byzsim.aggregators import aggregate
+from byzsim.core import SHIFT_STREAM, RngStream
+from byzsim.engine import run, schedule_values
+from byzsim.harness import parse_config, write_trajectory_csv
+from byzsim.objectives import (
+    make_shifts,
+    softmax_dataset,
+    stochastic_gradient,
+    worker_shard,
+)
+
+QUARTIC = {
+    "schema": 1,
+    "objective": {"kind": "quartic", "dim": 10},
+    "oracle": {"noise_variance": 1e-6, "shift_variance": 1e-4},
+    "n": 20,
+    "B": 3,
+    "attack": {"kind": "alie"},
+    "aggregator": {"rule": "gm", "nnm": True},
+    "schedule": {"kind": "practical_decay", "gamma0": 0.05, "momentum_beta": 0.9},
+    "optimizer": "byz_nsgdm",
+    "K": 150,
+    "seed": 7,
+    "x0": "ones",
+    "log_every": 1,
+}
+
+SOFTMAX_OBJECTIVE = {"kind": "softmax", "dim": 12, "n_classes": 4, "feature_dim": 3,
+                     "feature_seed": 2, "samples_per_worker": 10, "n_workers": 6}
+
+SOFTMAX = {
+    "schema": 1,
+    "objective": SOFTMAX_OBJECTIVE,
+    "oracle": {"noise_variance": 1e-4, "shift_variance": 0.0},
+    "n": 6,
+    "B": 2,
+    "attack": {"kind": "label_flip", "label_shift": 2},
+    "aggregator": {"rule": "gm", "nnm": True},
+    "schedule": {"kind": "constant", "gamma0": 0.05, "momentum_beta": 0.9},
+    "optimizer": "byz_nsgdm",
+    "K": 60,
+    "seed": 1,
+    "x0": "zeros",
+    "log_every": 1,
+}
+
+
+def _label_table() -> list[list[int]]:
+    spec = parse_config(SOFTMAX).objective
+    labels = softmax_dataset(spec)[1]
+    return [[(int(v) + i) % 4 for v in labels[worker_shard(spec, i)]] for i in range(6)]
+
+
+def golden_config(name: str) -> dict:
+    """The run config pinned under ``name``."""
+    family, _, variant = name.partition(":")
+    if family == "alie":  # each rule, with and without NNM
+        rule, nnm = variant.split("+") if "+" in variant else (variant, None)
+        return {**QUARTIC, "aggregator": {"rule": rule, "nnm": nnm is not None}}
+    if family == "attack":  # each attack under gm+NNM
+        return {**QUARTIC, "attack": {"kind": variant}}
+    if family == "optimizer":  # each optimizer with the schedule sweeps pair it with
+        kind = "constant" if variant == "baseline" else "practical_decay"
+        return {**QUARTIC, "optimizer": variant, "attack": {"kind": "bit_flip"},
+                "schedule": {"kind": kind, "gamma0": 1e-3, "momentum_beta": 0.9}}
+    if name == "theoretical":
+        return {**QUARTIC, "schedule": {"kind": "theoretical", "gamma0": 0.01}}
+    if name == "init_momentum_zero":
+        return {**QUARTIC, "init_momentum": "zero"}
+    if name == "noise_zero":
+        return {**QUARTIC, "oracle": {"noise_variance": 0.0, "shift_variance": 1e-4}}
+    if name == "bf_gradient_level":
+        return {**QUARTIC, "attack": {"kind": "bit_flip", "bf_gradient_level": True}}
+    if name == "b_zero":
+        return {**QUARTIC, "B": 0, "attack": {"kind": "none"}}
+    if family == "softmax_label_flip":
+        return {**SOFTMAX, "aggregator": {"rule": variant, "nnm": True}}
+    if family == "softmax_labels_table":
+        return {**SOFTMAX, "attack": {"kind": variant, "label_shift": 2},
+                "oracle": {"noise_variance": 1e-4, "labels": _label_table()}}
+    raise KeyError(name)
+
+
+GOLDEN = {
+    "alie:mean": "909cd7846d41cbc2b903ea28fd3182b898597b6f380e0ec6ea7bd6c5a60c6eae",
+    "alie:mean+nnm": "cbc532f1cc7c548a0a2c7d1d71c1b2255bcc5952da2d75ac10507f22162768b8",
+    "alie:krum": "7c6b7bd5b7cccf1fa69e591bfe5067823627756e45666687b8832c51d4bb688b",
+    "alie:krum+nnm": "68d5ee64710d53fe78c92a63ef5b0547548577c91a1fbc1d3ce8c1024799e64d",
+    "alie:gm": "e2e96855ffa9734e0c374e301fb3677cf6fd7faae5285ffeda545fdfebf72272",
+    "alie:gm+nnm": "d91fcda6bd993d4948b9251b8a6b6f7011d6088888832b3a2e910675add8cb17",
+    "alie:cwmed": "fbda1638c1afe5a98b4e499d121e55206d2346bace4f3778002ebe0499383211",
+    "alie:cwmed+nnm": "54bafcbc92b862b03224a34baa462bd2834bd79620a73b74c8eefd2a161ae041",
+    "alie:trimmed_mean": "34e948f143daf6451b8cd04ab5295f458777f60052fa2e67b379e75408b45aa6",
+    "alie:trimmed_mean+nnm": "a3eeeda961be9b0e1a782dba2cbfc7096b0db77c77ec7d2afe5cd276bf3788bd",
+    "attack:none": "ea94125b384d88098f4778569cda227ed9e91ca08fa0bf33f0f1799a21b202aa",
+    "attack:bit_flip": "57a90f1e29d48e900fec359dfaf2073012f9885cea8b3af153980e34761e3991",
+    "attack:mimic": "bb22bc57d6023db949e5da47d4271cf782a753c119420d07f7f2cb5515f78cc4",
+    "optimizer:byz_nsgdm": "f5bae0b1a5a7a7d61bf8e50a39d815eb4442bc4264acf38cd1f71033a64cde0e",
+    "optimizer:baseline": "77678235b548e080b4ad1c0ad0a103a2bacbf08de18624558f46a35f9a8fca33",
+    "optimizer:baseline_decay": "e7c8fd4d7aa5d0d23f6a93a176e00aa99c5148c0ff9b24d4ce42b725a6807c13",
+    "theoretical": "0d66297a7f7053771ed0823e75f4450cb1418b945955612a8408bd1f1c4c9463",
+    "init_momentum_zero": "f05378fb8da7ab149b13b536a93b70af4934d3e54f4a1fddddde4a72105f0e1e",
+    "noise_zero": "3a26b5aa27405a920cc22a89b7c55e13153d0d5152311c36c1d8e429a974e7f7",
+    "bf_gradient_level": "83d7fe033051d845ccca00ef023947c1be4f7b0b4620c41008999207c995d528",
+    "b_zero": "3daf40bd5bb64f48a5a5c1a56a1b5635eff3ce0b5f623876d72c67e343a0c972",
+    "softmax_label_flip:gm": "d724da66a331a0f6dabbe4e93d08ee86092b3b7e14f93496f6c0acaccf672dba",
+    "softmax_label_flip:krum": "31c64cbdd076974f853044c34b033ae66562207cf8083886ec5261f8fe59bae8",
+    "softmax_label_flip:cwmed": "18ef1a80ba270283c31c7229b0d7cd07d537a0ea1fd254625fcbab96c3109773",
+    "softmax_labels_table:none": "0397ab528872079e365bdfa10f3014e2a33d389d00b3b4cafc0f47e92d965b99",
+    "softmax_labels_table:label_flip": "7ba88c4f64b23864fb9410427174a35f9006a707f3e124ce75ffc06e6a83626a",
+}
+
+
+def trajectory_sha256(name: str, tmp_path) -> str:
+    result = run(parse_config(golden_config(name)))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(result.records, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trajectory_bytes_pinned(name, tmp_path):
+    assert trajectory_sha256(name, tmp_path) == GOLDEN[name]
+
+
+def test_first_aggregate_matches_reference_oracle():
+    """The first-step aggregate of a B=0 mean run, rebuilt from one
+    ``stochastic_gradient`` call per worker and step, equals the engine's
+    to the bit."""
+    cfg = parse_config({**QUARTIC, "B": 0, "attack": {"kind": "none"},
+                        "aggregator": {"rule": "mean"}, "K": 1})
+    spec, oracle, n = cfg.objective, cfg.oracle, cfg.n
+    shifts = make_shifts(RngStream(cfg.seed, SHIFT_STREAM), n, spec.dim, oracle.shift_variance)
+    _, eta = schedule_values(cfg.schedule, 0)
+    momenta = []
+    for i in range(n):
+        rng = RngStream(cfg.seed, i)
+        v0 = stochastic_gradient(spec, cfg.x0, shifts[i], rng, oracle.noise_variance)
+        g1 = stochastic_gradient(spec, cfg.x0, shifts[i], rng, oracle.noise_variance)
+        momenta.append(v0 * (1.0 - eta) + eta * g1)
+    expected = aggregate(cfg.aggregator, np.stack(momenta))
+    got = run(cfg, capture_states=True).aggregates[0]
+    np.testing.assert_array_equal(got, expected)

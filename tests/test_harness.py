@@ -1,15 +1,20 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from byzsim.core import ConfigError
 from byzsim.engine import TrajectoryRecord, run
 from byzsim.harness import (
+    OPTIMIZER_SCHEDULE,
     ConfigFileError,
     ExperimentManifest,
+    _cell_config,
     config_to_dict,
     final_grad_norm,
     load_config,
+    load_manifest,
     parse_config,
     read_trajectory_csv,
     run_sweep,
@@ -199,3 +204,58 @@ def test_table1_manifest_shape():
     assert all(a.nnm for a in m.aggregators)
     assert m.base.n == 20 and m.base.B == 3 and m.base.K == 3000
     assert m.seeds == (1, 2, 3)
+
+
+def test_manifest_omitted_axes_default_to_base():
+    manifest = ExperimentManifest.from_dict({
+        "schema": 1,
+        "base": {**BASE_CONFIG, "attack": {"kind": "alie"},
+                 "aggregator": {"rule": "gm", "nnm": True}},
+        "sweep": {"seeds": [1]},
+    })
+    assert [a.kind for a in manifest.attacks] == ["alie"]
+    assert [(g.rule, g.nnm) for g in manifest.aggregators] == [("gm", True)]
+    assert manifest.optimizers == ("byz_nsgdm",)
+
+
+def test_unknown_key_rejected_with_file_line(tmp_path):
+    path = write_config(tmp_path, {"optimiser": "baseline"})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
+                if '"optimiser"' in row)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: .*'optimiser'"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section", ["objective", "oracle", "attack", "aggregator", "schedule"])
+def test_unknown_nested_key_rejected(section):
+    with pytest.raises(ConfigError, match=rf"'bogus' in {section}"):
+        parse_config({**BASE_CONFIG, section: {**BASE_CONFIG.get(section, {}), "bogus": 1}})
+
+
+@pytest.mark.parametrize("section", ["manifest", "sweep", "tuning"])
+def test_unknown_manifest_key_rejected(section):
+    spec = {"schema": 1, "base": BASE_CONFIG, "sweep": {}, "tuning": {}}
+    if section == "manifest":
+        spec["bogus"] = 1
+    else:
+        spec[section] = {"bogus": 1}
+    with pytest.raises(ConfigError, match=rf"'bogus' in {section}"):
+        ExperimentManifest.from_dict(spec)
+
+
+def test_shipped_configs_parse():
+    root = Path(__file__).resolve().parent.parent / "configs"
+    assert load_config(root / "example_run.json").aggregator.rule == "gm"
+    assert len(load_manifest(root / "example_manifest.json").attacks) == 3
+
+
+def test_cell_config_keeps_base_init_momentum():
+    manifest = ExperimentManifest.from_dict({
+        "schema": 1,
+        "base": {**BASE_CONFIG, "init_momentum": "zero",
+                 "schedule": {"kind": "constant", "gamma0": 0.1}},
+    })
+    cell = _cell_config(manifest, manifest.attacks[0], manifest.aggregators[0],
+                        "byz_nsgdm", 0.05, 1, 10)
+    assert cell.init_momentum == "zero"
+    assert cell.schedule.kind == OPTIMIZER_SCHEDULE["byz_nsgdm"]
