@@ -27,7 +27,6 @@ from .core import ConfigError
 
 __all__ = [
     "AggregatorSpec",
-    "RobustnessCertificate",
     "aggregate",
     "nnm_transform",
     "krum",
@@ -78,15 +77,6 @@ class AggregatorSpec:
     @property
     def trim_count(self) -> int:
         return self.B if self.trim_b is None else self.trim_b
-
-
-@dataclass
-class RobustnessCertificate:
-    """Closed-form coefficient (when the rule has one) next to the worst
-    ratio observed over a fuzz corpus."""
-
-    kappa_theoretical: float | None
-    kappa_empirical: float
 
 
 def _as_matrix(vectors) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``run`` a single config, ``sweep`` a manifest, ``tune`` the
-base step size, ``verify`` the numerical property suite, ``table1`` for
-the canned synthetic benchmark matrix, and ``ablation`` for the momentum
-x step-size grid.
+base step size, and ``verify`` the numerical property suite. The paper's
+benchmark matrix and its momentum x step-size ablation are the sweep
+manifests ``configs/table1.json`` and ``configs/ablation.json``.
 """
 
 from __future__ import annotations
@@ -58,18 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
-    p = sub.add_parser("table1", help="reproduce the synthetic benchmark matrix")
-    p.add_argument("--k", type=int, default=3000)
-    p.add_argument("--seeds", type=str, default="1,2,3")
-    _add_common(p)
-
-    p = sub.add_parser("ablation", help="momentum x step-size grid")
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--seeds", type=str, default="1")
-    p.add_argument("--attack", type=str, default="bit_flip")
-    p.add_argument("--rule", type=str, default="gm")
-    _add_common(p)
-
     return parser
 
 
@@ -100,20 +88,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_tune(args) -> int:
     config = harness.load_config(args.config)
-
-    def make(g):
-        cfg = harness.load_config(args.config)
-        cfg.schedule = harness.Schedule(
-            kind=cfg.schedule.kind,
-            gamma0=g,
-            momentum_beta=cfg.schedule.momentum_beta,
-            horizon=cfg.schedule.horizon,
-        )
-        cfg.K = args.prefix
-        cfg.log_every = args.prefix
-        return cfg
-
-    best, table = harness.tune_gamma0(make)
+    prefix = {"K": args.prefix, "log_every": args.prefix}
+    best, table = harness.tune_gamma0(
+        lambda g: harness.override(config, {"schedule.gamma0": g, **prefix})
+    )
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": harness.SCHEMA_VERSION,
@@ -205,31 +183,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    manifest = harness.table1_manifest(K=args.k, seeds=seeds)
-    table = harness.run_sweep(manifest, args.out, jobs=args.jobs)
-    print(table.format_table())
-    return 0
-
-
-def _cmd_ablation(args) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    payload = harness.ablation_grid(
-        args.out, K=args.k, seeds=seeds, attack_kind=args.attack,
-        rule=args.rule, jobs=args.jobs,
-    )
-    print(json.dumps(payload["grid"], indent=2, sort_keys=True))
-    return 0
-
-
 COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
     "tune": _cmd_tune,
     "verify": _cmd_verify,
-    "table1": _cmd_table1,
-    "ablation": _cmd_ablation,
 }
 
 

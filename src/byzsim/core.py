@@ -1,11 +1,10 @@
 """Dense float64 vector helpers and reproducible per-worker random streams.
 
-Vectors are plain 1-D ``numpy.ndarray`` objects with dtype float64; the
-helpers here enforce the dimension/finiteness contracts that the rest of
-the package relies on. Randomness goes through :class:`RngStream`, a thin
-wrapper over a counter-based Philox generator keyed by (seed, stream_id),
-so that distinct workers get independent streams and the same key always
-replays the same sequence regardless of scheduling.
+Vectors are plain 1-D ``numpy.ndarray`` objects with dtype float64.
+Randomness goes through :class:`RngStream`, a thin wrapper over a
+counter-based Philox generator keyed by (seed, stream_id), so that
+distinct workers get independent streams and the same key always replays
+the same sequence regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "RngStream",
-    "add",
-    "scale",
-    "dot",
     "norm",
     "normalize",
     "gaussian_vector",
@@ -67,25 +63,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ConfigError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_dims(a, b)
-    return a + b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    return a * c
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    _check_dims(a, b)
-    return float(np.dot(a, b))
 
 
 def norm(a: np.ndarray) -> float:

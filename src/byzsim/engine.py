@@ -198,6 +198,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("label_flip requires a classification objective")
     if config.objective.is_classification and config.objective.n_workers < config.n:
         raise ConfigError("softmax objective must be sized for at least n workers")
+    if config.oracle.labels is not None and len(config.oracle.labels) != config.n:
+        raise ConfigError(f"oracle.labels needs one row per worker, {config.n} rows")
 
 
 def _worker_shifts(config: RunConfig) -> np.ndarray:

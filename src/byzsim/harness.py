@@ -1,23 +1,40 @@
 """Experiment orchestration: JSON configs, CSV trajectories, learning-rate
-tuning, sweeps over (attack, aggregator, optimizer) cells, and the canned
-synthetic benchmark matrix.
+tuning, and sweeps over run configs.
 
-Config files are JSON with a ``schema`` version field. Trajectories are
-CSV with fixed columns ``k,grad_norm,f_value,agg_error,step_size`` and
-floats rendered with 17 significant digits so they round-trip exactly.
-Sweep cells can run in parallel processes; per-run determinism is
-unaffected because every run re-derives its random streams from
-(seed, stream id) alone.
+Config files are JSON with a ``schema`` version field. One function
+(``_build``) reads them by walking the fields and type hints of
+``RunConfig`` and its section dataclasses: every key must name a field
+and every value must have the field's type (a JSON integer is accepted
+for a float), and an omitted field takes its ``DEFAULTS`` entry or else
+the dataclass default. ``config_to_dict`` walks the same fields back out.
+
+A sweep manifest is a base config plus axes: ``seeds``, ``attacks``,
+``aggregators``, ``optimizers``, and dotted paths such as
+``"schedule.momentum_beta"`` that name a field of a config section. Every
+sweep cell and tuning candidate is the base with overrides applied
+(``override``); ``configs/table1.json`` and ``configs/ablation.json`` are
+the paper's benchmark matrix and its momentum x step-size ablation.
+
+Trajectories are CSV with fixed columns
+``k,grad_norm,f_value,agg_error,step_size`` and floats rendered with 17
+significant digits so they round-trip exactly. Sweep cells can run in
+parallel processes; per-run determinism is unaffected because every run
+re-derives its random streams from (seed, stream id) alone.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +43,10 @@ from .aggregators import AggregatorSpec
 from .attacks import AttackSpec
 from .core import ConfigError
 from .engine import RunConfig, RunResult, Schedule, TrajectoryRecord, run
-from .objectives import ObjectiveSpec, OracleConfig
 
 __all__ = [
     "SCHEMA_VERSION",
+    "DEFAULTS",
     "ConfigFileError",
     "ExperimentManifest",
     "SummaryTable",
@@ -37,13 +54,12 @@ __all__ = [
     "load_manifest",
     "parse_config",
     "config_to_dict",
+    "override",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_plot_data",
     "tune_gamma0",
     "run_sweep",
-    "table1_manifest",
-    "ablation_grid",
     "DEFAULT_TUNING_GRID",
     "final_grad_norm",
 ]
@@ -51,8 +67,25 @@ __all__ = [
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ("k", "grad_norm", "f_value", "agg_error", "step_size")
 DEFAULT_TUNING_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
-ABLATION_BETAS = (0.0, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
-ABLATION_GAMMAS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
+
+# Parse-time defaults by dotted path. An omitted field without an entry
+# takes its dataclass default. Two more values are implied by other keys:
+# the aggregator's n and B are always the run's, and a theoretical
+# schedule's horizon defaults to K.
+DEFAULTS = {
+    "objective.kind": "quartic",
+    "objective.dim": 10,
+    "n": 20,
+    "B": 0,
+    "K": 1000,
+    "seed": 0,
+    "optimizer": "byz_nsgdm",
+    "x0": "ones",
+    "aggregator.rule": "mean",
+    "schedule.kind": "constant",
+    "schedule.gamma0": 0.1,
+}
+FROM_RUN = ("n", "B")  # AggregatorSpec fields never read from a file
 
 # Which step schedule each optimizer variant pairs with in sweeps.
 OPTIMIZER_SCHEDULE = {
@@ -92,11 +125,7 @@ def _error_line(text: str, message: str) -> int | None:
     return None
 
 
-def _names(cls, exclude=()) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls)) - frozenset(exclude)
-
-
-def _check_keys(d, allowed: frozenset[str], where: str) -> dict:
+def _check_keys(d, allowed, where: str) -> dict:
     """Return ``d`` if it is an object whose keys all lie in ``allowed``;
     otherwise raise a ConfigError that quotes the offending key."""
     if not isinstance(d, dict):
@@ -107,124 +136,139 @@ def _check_keys(d, allowed: frozenset[str], where: str) -> dict:
     return d
 
 
+def _check_schema(d: dict) -> None:
+    if d.get("schema") != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported or missing schema version (want {SCHEMA_VERSION})")
+
+
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config building and serialization
 
 
-RUN_KEYS = _names(RunConfig) | {"schema"}
-OBJECTIVE_KEYS = _names(ObjectiveSpec)
-ORACLE_KEYS = _names(OracleConfig)
-ATTACK_KEYS = _names(AttackSpec)
-AGGREGATOR_KEYS = _names(AggregatorSpec, exclude=("n", "B"))
-SCHEDULE_KEYS = _names(Schedule)
-MANIFEST_KEYS = frozenset({"schema", "base", "sweep", "tuning"})
-SWEEP_KEYS = frozenset({"seeds", "attacks", "aggregators", "optimizers"})
-TUNING_KEYS = frozenset({"enabled", "grid", "prefix_iters"})
+@cache
+def _hints(cls) -> dict:
+    """Field name -> resolved type hint, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def parse_objective(d: dict) -> ObjectiveSpec:
-    _check_keys(d, OBJECTIVE_KEYS, "objective")
-    kind = d.get("kind", "quartic")
-    dim = int(d.get("dim", 10))
-    if kind == "exponential":
-        return ObjectiveSpec(kind=kind, dim=dim, direction=tuple(d["direction"]))
-    if kind == "softmax":
-        return ObjectiveSpec(
-            kind=kind,
-            dim=dim,
-            n_classes=int(d["n_classes"]),
-            feature_dim=int(d["feature_dim"]),
-            feature_seed=int(d.get("feature_seed", 0)),
-            samples_per_worker=int(d.get("samples_per_worker", 20)),
-            n_workers=int(d["n_workers"]),
-        )
-    return ObjectiveSpec(kind=kind, dim=dim)
+TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+              dict: "a JSON object"}
 
 
-def parse_aggregator(d: dict, n: int, B: int) -> AggregatorSpec:
-    _check_keys(d, AGGREGATOR_KEYS, "aggregator")
-    return AggregatorSpec(
-        rule=d.get("rule", "mean"),
-        n=n,
-        B=B,
-        nnm=bool(d.get("nnm", False)),
-        gm_nu=float(d.get("gm_nu", 1e-8)),
-        gm_max_iters=int(d.get("gm_max_iters", 100)),
-        gm_tol=float(d.get("gm_tol", 1e-10)),
-        trim_b=d.get("trim_b"),
-    )
+def _typed(hint, raw, key: str, where: str):
+    """``raw`` checked against the type hint ``hint`` and returned as the
+    field holds it: lists become tuples, sections become dataclasses, and
+    an integer becomes a float where the hint is ``float``."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # ``X | None``
+        if raw is None:
+            return None
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    if is_dataclass(hint):
+        return _build(hint, raw, key)
+    if typing.get_origin(hint) is tuple:  # ``tuple[X, ...]``
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{key!r} in {where} must be a list, got {raw!r}")
+        return tuple(_typed(typing.get_args(hint)[0], v, key, where) for v in raw)
+    if hint is float and isinstance(raw, int) and not isinstance(raw, bool):
+        return float(raw)
+    if not isinstance(raw, hint) or (isinstance(raw, bool) and hint is not bool):
+        raise ConfigError(f"{key!r} in {where} must be {TYPE_NAMES[hint]}, got {raw!r}")
+    return raw
 
 
-def parse_attack(d: dict) -> AttackSpec:
-    _check_keys(d, ATTACK_KEYS, "attack")
-    return AttackSpec(
-        kind=d.get("kind", "none"),
-        mimic_warmup=int(d.get("mimic_warmup", 50)),
-        alie_z=float(d.get("alie_z", 1.0)),
-        label_shift=int(d.get("label_shift", 5)),
-        bf_gradient_level=bool(d.get("bf_gradient_level", False)),
-    )
+def _build(cls, d, section: str, **given):
+    """``cls`` built from the JSON object ``d`` of config ``section``.
+    Every key must name a field outside ``given`` and carry a value of
+    the field's type; an omitted field takes its ``DEFAULTS`` entry, else
+    an empty section, else the dataclass default."""
+    hints = {k: v for k, v in _hints(cls).items() if k not in given}
+    _check_keys(d, hints.keys(), section)
+    prefix = "" if cls is RunConfig else f"{section}."
+    kwargs = dict(given)
+    for name, hint in hints.items():
+        if name in d:
+            raw = d[name]
+        elif prefix + name in DEFAULTS:
+            raw = DEFAULTS[prefix + name]
+        elif is_dataclass(hint):
+            raw = {}
+        else:
+            continue
+        kwargs[name] = _typed(hint, raw, name, section)
+    return cls(**kwargs)
 
 
-def parse_schedule(d: dict, K: int) -> Schedule:
-    _check_keys(d, SCHEDULE_KEYS, "schedule")
-    kind = d.get("kind", "constant")
-    horizon = d.get("horizon", K if kind == "theoretical" else None)
-    return Schedule(
-        kind=kind,
-        gamma0=float(d.get("gamma0", 0.1)),
-        momentum_beta=float(d.get("momentum_beta", 0.9)),
-        horizon=horizon,
-    )
-
-
-def _parse_x0(spec_x0, dim: int) -> np.ndarray:
-    if spec_x0 == "ones" or spec_x0 is None:
+def _parse_x0(raw, dim: int) -> np.ndarray:
+    if raw == "ones":
         return np.ones(dim)
-    if spec_x0 == "zeros":
+    if raw == "zeros":
         return np.zeros(dim)
-    arr = np.asarray(spec_x0, dtype=float)
-    if arr.shape != (dim,):
-        raise ConfigError(f"x0 has length {arr.size}, expected {dim}")
-    return arr
+    x0 = np.array(_typed(tuple[float, ...], raw, "x0", "config"))
+    if x0.shape != (dim,):
+        raise ConfigError(f"x0 has length {x0.size}, expected {dim}")
+    return x0
 
 
 def parse_config(d: dict) -> RunConfig:
-    """Build a RunConfig from a config dict; unknown keys at any level
-    raise ConfigError."""
-    _check_keys(d, RUN_KEYS, "config")
-    if d.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported or missing schema version (want {SCHEMA_VERSION})")
-    objective = parse_objective(d.get("objective", {}))
-    n = int(d.get("n", 20))
-    B = int(d.get("B", 0))
-    K = int(d.get("K", 1000))
-    oracle_d = _check_keys(d.get("oracle", {}), ORACLE_KEYS, "oracle")
-    labels = oracle_d.get("labels")
-    oracle = OracleConfig(
-        noise_variance=float(oracle_d.get("noise_variance", 0.0)),
-        shift_variance=float(oracle_d.get("shift_variance", 0.0)),
-        labels=tuple(tuple(int(v) for v in row) for row in labels) if labels else None,
+    """Build a RunConfig from a config dict; unknown keys and ill-typed
+    values at any level raise ConfigError."""
+    _check_keys(d, _hints(RunConfig).keys() | {"schema"}, "config")
+    _check_schema(d)
+    # The aggregator, the schedule and x0 depend on n, B, K and dim: they
+    # are built once those are read.
+    late = dict.fromkeys(("aggregator", "schedule", "x0"))
+    draft = _build(RunConfig, {k: v for k, v in d.items() if k not in late and k != "schema"},
+                   "config", **late)
+    schedule = d.get("schedule", {})
+    if isinstance(schedule, dict) and schedule.get(
+            "kind", DEFAULTS["schedule.kind"]) == "theoretical":
+        schedule = {"horizon": draft.K, **schedule}
+    return replace(
+        draft,
+        aggregator=_build(AggregatorSpec, d.get("aggregator", {}), "aggregator",
+                          n=draft.n, B=draft.B),
+        schedule=_build(Schedule, schedule, "schedule"),
+        x0=_parse_x0(d.get("x0", DEFAULTS["x0"]), draft.objective.dim),
     )
-    return RunConfig(
-        objective=objective,
-        oracle=oracle,
-        n=n,
-        B=B,
-        attack=parse_attack(d.get("attack", {})),
-        aggregator=parse_aggregator(d.get("aggregator", {}), n, B),
-        schedule=parse_schedule(d.get("schedule", {}), K),
-        optimizer=d.get("optimizer", "byz_nsgdm"),
-        K=K,
-        seed=int(d.get("seed", 0)),
-        x0=_parse_x0(d.get("x0"), objective.dim),
-        log_every=int(d.get("log_every", 1)),
-        init_momentum=d.get("init_momentum", "stochastic_gradient"),
-    )
+
+
+def _to_json(value):
+    if is_dataclass(value):
+        skip = FROM_RUN if isinstance(value, AggregatorSpec) else ()
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)
+                if f.name not in skip}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    """Every field of ``config``, as ``parse_config`` reads it back."""
+    return {"schema": SCHEMA_VERSION, **_to_json(config)}
+
+
+def override(config: RunConfig, changes: dict) -> RunConfig:
+    """``config`` with ``changes`` applied through ``dataclasses.replace``.
+    A key names a RunConfig field, or with a dot a field of one of its
+    sections (``"schedule.gamma0"``); the sections check their new values
+    as they are built."""
+    top, nested = {}, {}
+    for path, value in changes.items():
+        section, _, name = path.partition(".")
+        if name:
+            nested.setdefault(section, {})[name] = value
+        else:
+            top[path] = value
+    for section, values in nested.items():
+        top[section] = replace(top.get(section, getattr(config, section)), **values)
+    return replace(config, **top)
 
 
 def _load(path, parse):
@@ -250,64 +294,12 @@ def load_manifest(path) -> "ExperimentManifest":
     return _load(path, ExperimentManifest.from_dict)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    obj = config.objective
-    d_obj: dict = {"kind": obj.kind, "dim": obj.dim}
-    if obj.kind == "exponential":
-        d_obj["direction"] = list(obj.direction)
-    if obj.kind == "softmax":
-        d_obj.update(
-            n_classes=obj.n_classes,
-            feature_dim=obj.feature_dim,
-            feature_seed=obj.feature_seed,
-            samples_per_worker=obj.samples_per_worker,
-            n_workers=obj.n_workers,
-        )
-    agg = config.aggregator
-    d = {
-        "schema": SCHEMA_VERSION,
-        "objective": d_obj,
-        "oracle": {
-            "noise_variance": config.oracle.noise_variance,
-            "shift_variance": config.oracle.shift_variance,
-        },
-        "n": config.n,
-        "B": config.B,
-        "attack": {
-            "kind": config.attack.kind,
-            "mimic_warmup": config.attack.mimic_warmup,
-            "alie_z": config.attack.alie_z,
-            "label_shift": config.attack.label_shift,
-            "bf_gradient_level": config.attack.bf_gradient_level,
-        },
-        "aggregator": {
-            "rule": agg.rule,
-            "nnm": agg.nnm,
-            "gm_nu": agg.gm_nu,
-            "gm_max_iters": agg.gm_max_iters,
-            "gm_tol": agg.gm_tol,
-            "trim_b": agg.trim_b,
-        },
-        "schedule": {
-            "kind": config.schedule.kind,
-            "gamma0": config.schedule.gamma0,
-            "momentum_beta": config.schedule.momentum_beta,
-            "horizon": config.schedule.horizon,
-        },
-        "optimizer": config.optimizer,
-        "K": config.K,
-        "seed": config.seed,
-        "x0": [float(v) for v in config.x0],
-        "log_every": config.log_every,
-        "init_momentum": config.init_momentum,
-    }
-    if config.oracle.labels is not None:
-        d["oracle"]["labels"] = [list(row) for row in config.oracle.labels]
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Trajectory I/O
+
+
+def _row(r: TrajectoryRecord) -> list[str]:
+    return [str(r.k), *(_fmt(getattr(r, c)) for c in CSV_COLUMNS[1:])]
 
 
 def write_trajectory_csv(records: list[TrajectoryRecord], path) -> None:
@@ -316,26 +308,13 @@ def write_trajectory_csv(records: list[TrajectoryRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.k, _fmt(r.grad_norm), _fmt(r.f_value), _fmt(r.agg_error), _fmt(r.step_size)]
-            )
+        writer.writerows(_row(r) for r in records)
 
 
 def read_trajectory_csv(path) -> list[TrajectoryRecord]:
-    records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                TrajectoryRecord(
-                    k=int(row["k"]),
-                    grad_norm=float(row["grad_norm"]),
-                    f_value=float(row["f_value"]),
-                    agg_error=float(row["agg_error"]),
-                    step_size=float(row["step_size"]),
-                )
-            )
-    return records
+        return [TrajectoryRecord(int(row["k"]), *(float(row[c]) for c in CSV_COLUMNS[1:]))
+                for row in csv.DictReader(fh)]
 
 
 def write_plot_data(records: list[TrajectoryRecord], path) -> None:
@@ -344,11 +323,7 @@ def write_plot_data(records: list[TrajectoryRecord], path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("# " + " ".join(CSV_COLUMNS) + "\n")
-        for r in records:
-            fh.write(
-                f"{r.k} {_fmt(r.grad_norm)} {_fmt(r.f_value)} "
-                f"{_fmt(r.agg_error)} {_fmt(r.step_size)}\n"
-            )
+        fh.writelines(" ".join(_row(r)) + "\n" for r in records)
 
 
 def final_grad_norm(result: RunResult) -> float:
@@ -363,48 +338,105 @@ def final_grad_norm(result: RunResult) -> float:
 # Sweeps
 
 
+MANIFEST_KEYS = frozenset({"schema", "base", "sweep", "tuning"})
+SWEEP_KEYS = frozenset({"seeds", "attacks", "aggregators", "optimizers"})
+TUNING_KEYS = frozenset({"enabled", "grid", "prefix_iters"})
+
+
+def _dotted_axis(base: RunConfig, path: str, values) -> tuple:
+    """The values of the sweep axis ``path``, each checked against the
+    field's type hint and by the section it is applied to."""
+    section, _, name = path.partition(".")
+    cls = _hints(RunConfig).get(section)
+    hints = _hints(cls) if is_dataclass(cls) else {}
+    if name not in hints or (section == "aggregator" and name in FROM_RUN):
+        raise ConfigError(f"sweep axis {path!r} names no config field")
+    values = _typed(tuple[hints[name], ...], values, path, "sweep")
+    for value in values:
+        try:
+            override(base, {path: value})
+        except ConfigError as e:
+            raise ConfigError(f"sweep axis {path!r}: {e}") from e
+    return values
+
+
 @dataclass
 class ExperimentManifest:
-    """A base run configuration plus the sweep axes and tuning settings."""
+    """A base run configuration plus the sweep axes and tuning settings.
+    ``axes`` maps dotted config paths to the values they sweep."""
 
     base: RunConfig
     seeds: tuple[int, ...]
     attacks: tuple[AttackSpec, ...]
     aggregators: tuple[AggregatorSpec, ...]
     optimizers: tuple[str, ...]
+    axes: dict[str, tuple] = field(default_factory=dict)
     tune: bool = True
     tuning_grid: tuple[float, ...] = DEFAULT_TUNING_GRID
     tuning_prefix: int = 1000
 
+    def __post_init__(self):
+        axes = {"seeds": self.seeds, "attacks": self.attacks, "aggregators": self.aggregators,
+                "optimizers": self.optimizers, **self.axes}
+        for name, values in axes.items():
+            if not values:
+                raise ConfigError(f"sweep axis {name!r} is empty")
+        for optimizer in self.optimizers:
+            if optimizer not in OPTIMIZER_SCHEDULE:
+                raise ConfigError(f"unknown optimizer {optimizer!r} in sweep")
+        if self.tune and "schedule.gamma0" in self.axes:
+            raise ConfigError("sweep axis 'schedule.gamma0' needs tuning.enabled false")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentManifest":
         """Parse a manifest dict. Sweep axes it omits default to the base
-        config's single setting; unknown keys at any level raise
-        ConfigError."""
+        config's single setting; unknown keys and ill-typed values at any
+        level raise ConfigError."""
         _check_keys(d, MANIFEST_KEYS, "manifest")
-        if d.get("schema") != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported or missing schema version (want {SCHEMA_VERSION})")
+        _check_schema(d)
         if not isinstance(d.get("base"), dict):
             raise ConfigError("manifest needs a 'base' config object")
         base = parse_config({**d["base"], "schema": SCHEMA_VERSION})
-        sweep = _check_keys(d.get("sweep", {}), SWEEP_KEYS, "sweep")
+        sweep = d.get("sweep", {})
+        dotted = {k: v for k, v in sweep.items() if "." in k} if isinstance(sweep, dict) else {}
+        _check_keys(sweep, SWEEP_KEYS | dotted.keys(), "sweep")
         tuning = _check_keys(d.get("tuning", {}), TUNING_KEYS, "tuning")
         attacks = sweep.get("attacks")
         aggregators = sweep.get("aggregators")
         return cls(
             base=base,
-            seeds=tuple(int(s) for s in sweep.get("seeds", [base.seed])),
+            seeds=_typed(tuple[int, ...], sweep.get("seeds", [base.seed]), "seeds", "sweep"),
             attacks=(base.attack,) if attacks is None else tuple(
-                parse_attack(a) for a in attacks
+                _build(AttackSpec, a, "attack")
+                for a in _typed(tuple[dict, ...], attacks, "attacks", "sweep")
             ),
             aggregators=(base.aggregator,) if aggregators is None else tuple(
-                parse_aggregator(a, base.n, base.B) for a in aggregators
+                _build(AggregatorSpec, a, "aggregator", n=base.n, B=base.B)
+                for a in _typed(tuple[dict, ...], aggregators, "aggregators", "sweep")
             ),
-            optimizers=tuple(sweep.get("optimizers", [base.optimizer])),
-            tune=bool(tuning.get("enabled", True)),
-            tuning_grid=tuple(tuning.get("grid", DEFAULT_TUNING_GRID)),
-            tuning_prefix=int(tuning.get("prefix_iters", 1000)),
+            optimizers=_typed(tuple[str, ...], sweep.get("optimizers", [base.optimizer]),
+                              "optimizers", "sweep"),
+            axes={k: _dotted_axis(base, k, v) for k, v in dotted.items()},
+            tune=_typed(bool, tuning.get("enabled", True), "enabled", "tuning"),
+            tuning_grid=_typed(tuple[float, ...], tuning.get("grid", DEFAULT_TUNING_GRID),
+                               "grid", "tuning"),
+            tuning_prefix=_typed(int, tuning.get("prefix_iters", 1000), "prefix_iters",
+                                 "tuning"),
         )
+
+    def cells(self) -> list[tuple[RunConfig, dict]]:
+        """One (config, dotted-axis values) pair per sweep cell: the base
+        with the cell's attack, aggregator and optimizer, the schedule
+        kind ``OPTIMIZER_SCHEDULE`` pairs with the optimizer, and the
+        dotted-axis values applied last. Seed and gamma0 are set per run."""
+        return [
+            (override(self.base, {"attack": atk, "aggregator": agg, "optimizer": opt,
+                                  "schedule.kind": OPTIMIZER_SCHEDULE[opt], **axes}), axes)
+            for atk in self.attacks
+            for agg in self.aggregators
+            for opt in self.optimizers
+            for axes in (dict(zip(self.axes, v)) for v in itertools.product(*self.axes.values()))
+        ]
 
 
 @dataclass
@@ -415,6 +447,13 @@ class CellSummary:
     gamma0: float
     final_grad_norms: list[float | None]
     seeds: list[int]
+    axes: dict = field(default_factory=dict)
+
+    @property
+    def name(self) -> tuple[str, ...]:
+        """Attack, aggregator, optimizer, then ``path=value`` per dotted axis."""
+        return (self.attack, self.aggregator, self.optimizer,
+                *(f"{k}={v}" for k, v in self.axes.items()))
 
     @property
     def finite_values(self) -> list[float]:
@@ -431,7 +470,7 @@ class CellSummary:
         return float(np.std(vals)) if vals else math.inf
 
     def as_dict(self) -> dict:
-        return {
+        d = {
             "attack": self.attack,
             "aggregator": self.aggregator,
             "optimizer": self.optimizer,
@@ -443,83 +482,49 @@ class CellSummary:
             "mean_final_grad_norm": self.mean if self.finite_values else "diverged",
             "std_final_grad_norm": self.std if self.finite_values else "diverged",
         }
+        if self.axes:
+            d["axes"] = self.axes
+        return d
 
 
 @dataclass
 class SummaryTable:
     cells: list[CellSummary] = field(default_factory=list)
 
-    def cell(self, attack: str, aggregator: str, optimizer: str) -> CellSummary:
+    def cell(self, *name: str) -> CellSummary:
+        """The cell named (attack, aggregator, optimizer, *dotted-axis
+        labels), as ``CellSummary.name`` spells it."""
         for c in self.cells:
-            if (c.attack, c.aggregator, c.optimizer) == (attack, aggregator, optimizer):
+            if c.name == name:
                 return c
-        raise KeyError((attack, aggregator, optimizer))
+        raise KeyError(name)
 
     def as_dict(self) -> dict:
         return {"schema": SCHEMA_VERSION, "cells": [c.as_dict() for c in self.cells]}
 
     def format_table(self) -> str:
         """Mean +/- std of the final gradient norm per cell, in units of
-        1e-6, one row per (attack, aggregator)."""
-        attacks = sorted({c.attack for c in self.cells})
-        aggs = sorted({c.aggregator for c in self.cells})
+        1e-6, one row per (attack, aggregator) and dotted-axis values,
+        one column per optimizer."""
+        rows = sorted(dict.fromkeys((c.name[:2], c.name[3:]) for c in self.cells),
+                      key=lambda row: row[0])
         opts = sorted({c.optimizer for c in self.cells})
         lines = ["attack     aggregator   " + "  ".join(f"{o:>24}" for o in opts)]
-        for a in attacks:
-            for g in aggs:
-                row = [f"{a:<10} {g:<12}"]
-                for o in opts:
-                    try:
-                        c = self.cell(a, g, o)
-                    except KeyError:
-                        row.append(f"{'-':>24}")
-                        continue
-                    if not c.finite_values:
-                        row.append(f"{'diverged':>24}")
-                    else:
-                        row.append(f"{c.mean / 1e-6:>12.2f}+-{c.std / 1e-6:<10.2f}")
-                lines.append("  ".join(row))
+        for (a, g), labels in rows:
+            row = [f"{a:<10} {g:<12}" + "".join(f" {label}" for label in labels)]
+            for o in opts:
+                try:
+                    c = self.cell(a, g, o, *labels)
+                except KeyError:
+                    row.append(f"{'-':>24}")
+                    continue
+                if not c.finite_values:
+                    row.append(f"{'diverged':>24}")
+                else:
+                    row.append(f"{c.mean / 1e-6:>12.2f}+-{c.std / 1e-6:<10.2f}")
+            lines.append("  ".join(row))
         lines.append("(final gradient norm, units 1e-6)")
         return "\n".join(lines)
-
-
-def _cell_config(
-    manifest: ExperimentManifest,
-    attack: AttackSpec,
-    aggregator: AggregatorSpec,
-    optimizer: str,
-    gamma0: float,
-    seed: int,
-    K: int,
-    log_every: int | None = None,
-) -> RunConfig:
-    """The run of one sweep cell: the base config with the cell's attack,
-    aggregator, optimizer, gamma0, seed and K. The schedule kind is not
-    the base's but the one ``OPTIMIZER_SCHEDULE`` pairs with the
-    optimizer; the base's momentum beta and ``init_momentum`` carry
-    over."""
-    base = manifest.base
-    sched = Schedule(
-        kind=OPTIMIZER_SCHEDULE[optimizer],
-        gamma0=gamma0,
-        momentum_beta=base.schedule.momentum_beta,
-        horizon=None,
-    )
-    return RunConfig(
-        objective=base.objective,
-        oracle=base.oracle,
-        n=base.n,
-        B=base.B,
-        attack=attack,
-        aggregator=aggregator,
-        schedule=sched,
-        optimizer=optimizer,
-        K=K,
-        seed=seed,
-        x0=base.x0.copy(),
-        log_every=log_every or base.log_every,
-        init_momentum=base.init_momentum,
-    )
 
 
 def _run_for_final(config: RunConfig) -> float:
@@ -535,196 +540,62 @@ def tune_gamma0(
     return the one minimizing the final gradient norm (ties toward the
     smaller rate). Diverged candidates score infinity."""
     configs = [make_config(g) for g in grid]
-    if executor is None:
-        scores = [_run_for_final(c) for c in configs]
-    else:
-        scores = list(executor.map(_run_for_final, configs))
+    scores = list((executor.map if executor else map)(_run_for_final, configs))
     table = dict(zip(grid, scores))
     best = min(sorted(grid), key=lambda g: table[g])
     return best, table
 
 
-def _cell_name(attack: AttackSpec, agg: AggregatorSpec, optimizer: str) -> tuple[str, str, str]:
-    return attack.kind, agg.rule + ("+nnm" if agg.nnm else ""), optimizer
-
-
 def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTable:
-    """Tune (optionally) and run every (attack, aggregator, optimizer)
-    cell across all seeds; write per-run CSVs and a summary JSON."""
+    """Tune gamma0 (optionally, on the first seed and a short prefix) and
+    run every cell of ``manifest.cells()`` across all seeds; write
+    per-run CSVs and a summary JSON."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (atk, agg, opt)
-        for atk in manifest.attacks
-        for agg in manifest.aggregators
-        for opt in manifest.optimizers
-    ]
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        gamma0s = {}
-        for atk, agg, opt in cells:
+    cells = manifest.cells()
+    prefix = {"seed": manifest.seeds[0], "K": manifest.tuning_prefix,
+              "log_every": manifest.tuning_prefix}
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as executor:
+        gamma0s = []
+        for cell, _ in cells:
             if manifest.tune:
                 best, _ = tune_gamma0(
-                    lambda g, a=atk, r=agg, o=opt: _cell_config(
-                        manifest, a, r, o, g, manifest.seeds[0], manifest.tuning_prefix,
-                        log_every=manifest.tuning_prefix,
-                    ),
+                    lambda g, c=cell: override(c, {"schedule.gamma0": g, **prefix}),
                     grid=manifest.tuning_grid,
                     executor=executor,
                 )
             else:
-                best = manifest.base.schedule.gamma0
-            gamma0s[_cell_name(atk, agg, opt)] = best
-
-        run_configs = []
-        keys = []
-        for atk, agg, opt in cells:
-            name = _cell_name(atk, agg, opt)
-            for seed in manifest.seeds:
-                run_configs.append(
-                    _cell_config(manifest, atk, agg, opt, gamma0s[name], seed, manifest.base.K)
-                )
-                keys.append((name, seed))
-        if executor is None:
-            results = [run(c) for c in run_configs]
-        else:
-            results = list(executor.map(run, run_configs))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+                best = cell.schedule.gamma0
+            gamma0s.append(best)
+        run_configs = [
+            override(cell, {"schedule.gamma0": gamma0, "seed": seed})
+            for (cell, _), gamma0 in zip(cells, gamma0s)
+            for seed in manifest.seeds
+        ]
+        results = list((executor.map if executor else map)(run, run_configs))
 
     table = SummaryTable()
-    by_cell: dict[tuple[str, str, str], CellSummary] = {}
-    for (name, seed), config, result in zip(keys, run_configs, results):
-        summary = by_cell.get(name)
-        if summary is None:
-            summary = CellSummary(
-                attack=name[0],
-                aggregator=name[1],
-                optimizer=name[2],
-                gamma0=gamma0s[name],
-                final_grad_norms=[],
-                seeds=[],
-            )
-            by_cell[name] = summary
-            table.cells.append(summary)
-        value = final_grad_norm(result)
-        summary.final_grad_norms.append(None if math.isinf(value) else value)
-        summary.seeds.append(seed)
-        cell_dir = out_dir / "-".join(name)
-        write_trajectory_csv(result.records, cell_dir / f"seed_{seed}.csv")
+    per_cell = iter(results)
+    for (cell, axes), gamma0 in zip(cells, gamma0s):
+        agg = cell.aggregator
+        summary = CellSummary(
+            attack=cell.attack.kind,
+            aggregator=agg.rule + ("+nnm" if agg.nnm else ""),
+            optimizer=cell.optimizer,
+            gamma0=gamma0,
+            final_grad_norms=[],
+            seeds=[],
+            axes=axes,
+        )
+        table.cells.append(summary)
+        for seed in manifest.seeds:
+            result = next(per_cell)
+            value = final_grad_norm(result)
+            summary.final_grad_norms.append(None if math.isinf(value) else value)
+            summary.seeds.append(seed)
+            cell_dir = out_dir / "-".join(summary.name)
+            write_trajectory_csv(result.records, cell_dir / f"seed_{seed}.csv")
 
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(table.as_dict(), fh, indent=2, sort_keys=True)
     return table
-
-
-def table1_manifest(
-    K: int = 3000,
-    seeds=(1, 2, 3),
-    n: int = 20,
-    B: int = 3,
-    dim: int = 10,
-) -> ExperimentManifest:
-    """The canned synthetic benchmark: three attacks x three NNM-composed
-    robust rules x three optimizer variants on the quartic.
-
-    Oracle scales put the runs in the noise-dominated regime (noise std
-    1e-5 per coordinate, heterogeneity shifts subdominant): that is the
-    regime in which the reference final gradient norms of a few 1e-6 are
-    attainable at all. With shifts at the nominal 1e-3 scale every method
-    stalls orders of magnitude higher on the static aggregation bias of
-    the shift cloud (about 0.1x-0.25x the heterogeneity level under
-    in-distribution attacks), which is the behavior the bias-floor checks
-    exercise separately.
-    """
-    objective = ObjectiveSpec(kind="quartic", dim=dim)
-    base = RunConfig(
-        objective=objective,
-        oracle=OracleConfig(noise_variance=1e-10, shift_variance=1e-12),
-        n=n,
-        B=B,
-        attack=AttackSpec(kind="none"),
-        aggregator=AggregatorSpec(rule="mean", n=n, B=B),
-        schedule=Schedule(kind="practical_decay", gamma0=0.1, momentum_beta=0.9),
-        optimizer="byz_nsgdm",
-        K=K,
-        seed=seeds[0],
-        x0=np.ones(dim),
-        log_every=10,
-    )
-    return ExperimentManifest(
-        base=base,
-        seeds=tuple(seeds),
-        attacks=(
-            AttackSpec(kind="bit_flip"),
-            AttackSpec(kind="mimic"),
-            AttackSpec(kind="alie"),
-        ),
-        aggregators=(
-            AggregatorSpec(rule="gm", n=n, B=B, nnm=True),
-            AggregatorSpec(rule="krum", n=n, B=B, nnm=True),
-            AggregatorSpec(rule="cwmed", n=n, B=B, nnm=True),
-        ),
-        optimizers=("baseline", "baseline_decay", "byz_nsgdm"),
-        tune=True,
-        tuning_prefix=min(1000, K),
-    )
-
-
-def ablation_grid(
-    out_dir,
-    K: int = 1000,
-    seeds=(1,),
-    attack_kind: str = "bit_flip",
-    rule: str = "gm",
-    jobs: int = 1,
-    betas=ABLATION_BETAS,
-    gammas=ABLATION_GAMMAS,
-) -> dict:
-    """Momentum x learning-rate grid for the normalized optimizer on the
-    quartic; writes a JSON map of final gradient norms."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n, B, dim = 20, 3, 10
-    objective = ObjectiveSpec(kind="quartic", dim=dim)
-    configs = []
-    keys = []
-    for beta in betas:
-        for gamma0 in gammas:
-            for seed in seeds:
-                configs.append(
-                    RunConfig(
-                        objective=objective,
-                        oracle=OracleConfig(noise_variance=1e-5, shift_variance=1e-3),
-                        n=n,
-                        B=B,
-                        attack=AttackSpec(kind=attack_kind),
-                        aggregator=AggregatorSpec(rule=rule, n=n, B=B, nnm=True),
-                        schedule=Schedule(
-                            kind="practical_decay", gamma0=gamma0, momentum_beta=beta
-                        ),
-                        optimizer="byz_nsgdm",
-                        K=K,
-                        seed=seed,
-                        x0=np.ones(dim),
-                        log_every=K,
-                    )
-                )
-                keys.append((beta, gamma0, seed))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            finals = list(ex.map(_run_for_final, configs))
-    else:
-        finals = [_run_for_final(c) for c in configs]
-
-    grid: dict = {}
-    for (beta, gamma0, seed), val in zip(keys, finals):
-        grid.setdefault(f"beta={beta}", {}).setdefault(f"gamma0={gamma0}", []).append(
-            val if math.isfinite(val) else "diverged"
-        )
-    payload = {"schema": SCHEMA_VERSION, "attack": attack_kind, "rule": rule, "K": K,
-               "seeds": list(seeds), "grid": grid}
-    with open(out_dir / "ablation.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return payload

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, RobustnessCertificate, aggregate, base_kappa
+from .aggregators import AggregatorSpec, aggregate, base_kappa
 from .core import ConfigError, RngStream
 from .engine import RunConfig, RunResult, schedule_values
 from .objectives import (
@@ -210,10 +210,6 @@ def check_robustness(
         violations += int((margins < 0).sum())
         worst_margin = min(worst_margin, float(margins.min()))
 
-    cert = RobustnessCertificate(
-        kappa_theoretical=kappa if kappa is not None else kappa_base,
-        kappa_empirical=kappa_emp,
-    )
     return CheckReport(
         name=f"robustness[{spec.rule}{'+nnm' if spec.nnm else ''}]",
         instances=trials,
@@ -225,8 +221,8 @@ def check_robustness(
             "d": d,
             "tol_rel": tol_rel,
             "asserted": asserted,
-            "kappa_theoretical": cert.kappa_theoretical,
-            "kappa_empirical": cert.kappa_empirical,
+            "kappa_theoretical": kappa if kappa is not None else kappa_base,
+            "kappa_empirical": kappa_emp,
         },
     )
 

@@ -8,6 +8,7 @@ dominate the runtime; the whole module takes a few minutes.
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from byzsim.aggregators import AggregatorSpec, theoretical_kappa
 from byzsim.attacks import AttackSpec
 from byzsim.core import RngStream
 from byzsim.engine import RunConfig, Schedule, gamma0_cap, run
-from byzsim.harness import run_sweep, table1_manifest
+from byzsim.harness import load_manifest, run_sweep
 from byzsim.objectives import (
     ObjectiveSpec,
     OracleConfig,
@@ -31,6 +32,7 @@ from byzsim.verify import (
 )
 
 JOBS = min(4, os.cpu_count() or 1)
+TABLE1 = Path(__file__).resolve().parent.parent / "configs" / "table1.json"
 QUARTIC = ObjectiveSpec(kind="quartic", dim=10)
 
 ATTACKS = ("alie", "bit_flip", "mimic")
@@ -61,7 +63,7 @@ def quartic_run(
 @pytest.fixture(scope="module")
 def benchmark_table(tmp_path_factory):
     out = tmp_path_factory.mktemp("table1")
-    return run_sweep(table1_manifest(), out, jobs=JOBS), out
+    return run_sweep(load_manifest(TABLE1), out, jobs=JOBS), out
 
 
 def test_criterion_1_benchmark_matrix(benchmark_table):

@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 from byzsim.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CONFIG = {
     "schema": 1,
@@ -73,6 +76,14 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "bad.json:2" in capsys.readouterr().err
 
 
+def test_ill_typed_value_reports_line(tmp_path, capsys):
+    path = write(tmp_path, {**CONFIG, "K": "abc"})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if '"K"' in row)
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config.json:{line}: 'K' in config must be an integer" in capsys.readouterr().err
+
+
 def test_diverged_run_exits_zero(tmp_path, capsys):
     cfg = write(tmp_path, {
         **CONFIG,
@@ -114,11 +125,17 @@ def test_sweep_smoke(tmp_path, capsys):
 
 
 def test_ablation_smoke(tmp_path, capsys):
-    rc = main(["ablation", "--out", str(tmp_path / "out"), "--k", "30",
-               "--seeds", "1"])
+    """configs/ablation.json, shortened to K=30, sweeps 7 betas x 6 gamma0s."""
+    manifest = json.loads((CONFIGS / "ablation.json").read_text())
+    manifest["base"].update(K=30, log_every=30)
+    cfg = write(tmp_path, manifest, "ablation.json")
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
-    payload = json.loads((tmp_path / "out" / "ablation.json").read_text())
-    assert len(payload["grid"]) == 7  # momentum values
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert len(summary["cells"]) == 42
+    assert {c["axes"]["schedule.momentum_beta"] for c in summary["cells"]} == {
+        0.0, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99}
+    assert "schedule.momentum_beta=0.99 schedule.gamma0=0.5" in capsys.readouterr().out
 
 
 def test_attack_free_smoke_run_shape(tmp_path):

@@ -6,32 +6,14 @@ from hypothesis import strategies as st
 from byzsim.core import (
     ConfigError,
     RngStream,
-    add,
-    dot,
     gaussian_vector,
     norm,
     normalize,
-    scale,
 )
 
 
 def test_pythagorean_norm():
     assert norm(np.array([3.0, 4.0])) == 5.0
-
-
-def test_orthogonal_dot():
-    assert dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_zero_scaling():
-    np.testing.assert_array_equal(scale(np.array([1.0, 1.0]), 0.0), np.zeros(2))
-
-
-def test_dimension_mismatch_raises():
-    with pytest.raises(ConfigError):
-        add(np.zeros(3), np.zeros(4))
-    with pytest.raises(ConfigError):
-        dot(np.zeros(2), np.zeros(5))
 
 
 def test_normalize_unit():

@@ -262,6 +262,8 @@ def test_config_validation():
     cfg.aggregator = AggregatorSpec(rule="mean", n=5, B=0)
     with pytest.raises(ConfigError):
         run(cfg)
+    with pytest.raises(ConfigError, match="oracle.labels"):
+        run(softmax_config(oracle=OracleConfig(labels=())))
 
 
 SOFTMAX_SPEC = ObjectiveSpec(kind="softmax", dim=12, n_classes=4, feature_dim=3,

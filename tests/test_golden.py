@@ -1,13 +1,18 @@
 """Golden trajectory pins.
 
 Each config below is run and its trajectory CSV, exactly as
-``write_trajectory_csv`` writes it, is hashed with sha256. A change to
-the engine, the oracle, the attacks or the rules that alters one output
-bit fails here; a change that means to alter bits must say so and
-re-pin. Every run is short (K <= 150), so the module takes seconds.
+``write_trajectory_csv`` writes it, is hashed with sha256. Two more pins
+cover the sweep path: every output file of a shortened
+``configs/table1.json`` sweep, and the final gradient norms of a
+shortened ``configs/ablation.json``. A change to the engine, the oracle,
+the attacks, the rules or the sweep cells that alters one output bit
+fails here; a change that means to alter bits must say so and re-pin.
+Every run is short (K <= 150), so the module takes seconds.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +20,15 @@ import pytest
 from byzsim.aggregators import aggregate
 from byzsim.core import SHIFT_STREAM, RngStream
 from byzsim.engine import run, schedule_values
-from byzsim.harness import parse_config, write_trajectory_csv
+from byzsim.harness import ExperimentManifest, parse_config, run_sweep, write_trajectory_csv
 from byzsim.objectives import (
     make_shifts,
     softmax_dataset,
     stochastic_gradient,
     worker_shard,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 QUARTIC = {
     "schema": 1,
@@ -125,6 +132,25 @@ GOLDEN = {
 }
 
 
+# configs/table1.json at K=40 (log_every 10), tuning prefix 20, seeds
+# [1, 2]: 3 attacks x 3 NNM rules x 3 optimizers, tuned. sha256 over each
+# output file's relative path, a NUL byte and its bytes, in path order.
+TABLE1_SWEEP = "d7d4fb0f256f4021e3cd327c09cd356f28b2f42f07dd493f03e95fb6fa929b2d"
+# configs/ablation.json at K = log_every = 30, seeds [1, 2]: sha256 of the
+# repr of the list of the 84 final gradient norms, in (momentum_beta,
+# gamma0, seed) order.
+ABLATION_FINALS = "f0a48a367e205df74dedc1e42b9fa3a972ddf862152f5f74cf8fdf7b1b789a56"
+
+
+def shortened(name: str, base: dict, sweep: dict, tuning: dict) -> ExperimentManifest:
+    """The manifest ``configs/<name>`` with some base, sweep and tuning
+    keys replaced."""
+    spec = json.loads((CONFIGS / name).read_text())
+    for key, changes in (("base", base), ("sweep", sweep), ("tuning", tuning)):
+        spec[key].update(changes)
+    return ExperimentManifest.from_dict(spec)
+
+
 def trajectory_sha256(name: str, tmp_path) -> str:
     result = run(parse_config(golden_config(name)))
     path = tmp_path / "trajectory.csv"
@@ -135,6 +161,23 @@ def trajectory_sha256(name: str, tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trajectory_bytes_pinned(name, tmp_path):
     assert trajectory_sha256(name, tmp_path) == GOLDEN[name]
+
+
+def test_table1_sweep_bytes_pinned(tmp_path):
+    manifest = shortened("table1.json", {"K": 40, "log_every": 10}, {"seeds": [1, 2]},
+                         {"prefix_iters": 20})
+    run_sweep(manifest, tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.rglob("*.*")):
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == TABLE1_SWEEP
+
+
+def test_ablation_finals_pinned(tmp_path):
+    manifest = shortened("ablation.json", {"K": 30, "log_every": 30}, {"seeds": [1, 2]}, {})
+    finals = [v for cell in run_sweep(manifest, tmp_path).cells for v in cell.final_grad_norms]
+    assert len(finals) == 84
+    assert hashlib.sha256(repr(finals).encode()).hexdigest() == ABLATION_FINALS
 
 
 def test_first_aggregate_matches_reference_oracle():

@@ -10,19 +10,21 @@ from byzsim.harness import (
     OPTIMIZER_SCHEDULE,
     ConfigFileError,
     ExperimentManifest,
-    _cell_config,
     config_to_dict,
     final_grad_norm,
     load_config,
     load_manifest,
+    override,
     parse_config,
     read_trajectory_csv,
     run_sweep,
-    table1_manifest,
     tune_gamma0,
     write_plot_data,
     write_trajectory_csv,
 )
+from test_golden import GOLDEN, golden_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "schema": 1,
@@ -50,11 +52,13 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
-def test_config_roundtrip(tmp_path):
-    cfg = parse_config(BASE_CONFIG)
-    again = parse_config(config_to_dict(cfg))
-    assert config_to_dict(cfg) == config_to_dict(again)
-    assert again.aggregator.nnm and again.n == 6
+def test_config_roundtrip():
+    """config_to_dict writes every field, through JSON, so that parse_config
+    reads the same config back: the quartic here and every golden config
+    (softmax, label tables, theoretical horizon, zero initial momentum)."""
+    for data in [BASE_CONFIG, *(golden_config(name) for name in sorted(GOLDEN))]:
+        d = config_to_dict(parse_config(data))
+        assert config_to_dict(parse_config(json.loads(json.dumps(d)))) == d, data
 
 
 def test_load_config_rejects_bad_schema(tmp_path):
@@ -199,11 +203,11 @@ def test_sweep_parallel_jobs_identical(tmp_path):
 
 
 def test_table1_manifest_shape():
-    m = table1_manifest()
+    m = load_manifest(CONFIGS / "table1.json")
     assert len(m.attacks) == 3 and len(m.aggregators) == 3 and len(m.optimizers) == 3
     assert all(a.nnm for a in m.aggregators)
     assert m.base.n == 20 and m.base.B == 3 and m.base.K == 3000
-    assert m.seeds == (1, 2, 3)
+    assert m.seeds == (1, 2, 3) and m.tune and m.tuning_prefix == 1000
 
 
 def test_manifest_omitted_axes_default_to_base():
@@ -226,10 +230,31 @@ def test_unknown_key_rejected_with_file_line(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("section", ["objective", "oracle", "attack", "aggregator", "schedule"])
-def test_unknown_nested_key_rejected(section):
-    with pytest.raises(ConfigError, match=rf"'bogus' in {section}"):
-        parse_config({**BASE_CONFIG, section: {**BASE_CONFIG.get(section, {}), "bogus": 1}})
+@pytest.mark.parametrize("changes, match", [
+    *(pytest.param({section: {**BASE_CONFIG.get(section, {}), "bogus": 1}},
+                   rf"'bogus' in {section}", id=section)
+      for section in ("objective", "oracle", "attack", "aggregator", "schedule")),
+    # Ill-typed values are rejected, not cast: bool("false") is True, int(3.7) is 3.
+    pytest.param({"aggregator": {"rule": "cwmed", "nnm": "false"}},
+                 r"'nnm' in aggregator must be a boolean, got 'false'", id="nnm-string"),
+    pytest.param({"K": 3.7}, r"'K' in config must be an integer, got 3.7", id="K-float"),
+    pytest.param({"seed": 1.5}, r"'seed' in config must be an integer", id="seed-float"),
+    pytest.param({"K": "abc"}, r"'K' in config must be an integer", id="K-string"),
+    pytest.param({"n": True}, r"'n' in config must be an integer", id="n-bool"),
+    pytest.param({"schedule": {"kind": 1}}, r"'kind' in schedule must be a string",
+                 id="kind-int"),
+])
+def test_unknown_nested_key_rejected(changes, match):
+    """Unknown keys and ill-typed values raise a ConfigError naming the key."""
+    with pytest.raises(ConfigError, match=match):
+        parse_config({**BASE_CONFIG, **changes})
+
+
+def test_integer_accepted_for_float_field():
+    cfg = parse_config({**BASE_CONFIG, "schedule": {"kind": "constant", "gamma0": 1},
+                        "oracle": {"noise_variance": 0}})
+    assert type(cfg.schedule.gamma0) is float and cfg.schedule.gamma0 == 1.0
+    assert type(cfg.oracle.noise_variance) is float
 
 
 @pytest.mark.parametrize("section", ["manifest", "sweep", "tuning"])
@@ -244,9 +269,59 @@ def test_unknown_manifest_key_rejected(section):
 
 
 def test_shipped_configs_parse():
-    root = Path(__file__).resolve().parent.parent / "configs"
-    assert load_config(root / "example_run.json").aggregator.rule == "gm"
-    assert len(load_manifest(root / "example_manifest.json").attacks) == 3
+    for path in sorted(CONFIGS.glob("*.json")):
+        if "base" in json.loads(path.read_text()):
+            load_manifest(path)
+        else:
+            load_config(path)
+    assert load_config(CONFIGS / "example_run.json").aggregator.rule == "gm"
+    ablation = load_manifest(CONFIGS / "ablation.json")
+    assert [len(v) for v in ablation.axes.values()] == [7, 6]
+    assert len(ablation.cells()) == 42 and not ablation.tune
+
+
+@pytest.mark.parametrize("sweep, tuning, key", [
+    pytest.param({"optimizers": ["byz_nsgmd"]}, {}, "byz_nsgmd", id="unknown-optimizer"),
+    pytest.param({"schedule.gamma": [0.1]}, {}, "schedule.gamma", id="axis-no-field"),
+    pytest.param({"aggregator.n": [10]}, {}, "aggregator.n", id="axis-derived-field"),
+    pytest.param({"schedule.gamma0": [0.1]}, {"enabled": True}, "schedule.gamma0",
+                 id="gamma0-axis-with-tuning"),
+    pytest.param({"schedule.momentum_beta": [0.9, "x"]}, {"enabled": False},
+                 "schedule.momentum_beta", id="axis-ill-typed"),
+    pytest.param({"schedule.momentum_beta": [1.5]}, {"enabled": False},
+                 "schedule.momentum_beta", id="axis-out-of-range"),
+    pytest.param({"seeds": []}, {}, "seeds", id="empty-axis"),
+])
+def test_bad_sweep_axis_rejected_at_load_with_file_line(tmp_path, sweep, tuning, key):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"schema": 1, "base": BASE_CONFIG, "sweep": sweep,
+                                "tuning": tuning}, indent=2))
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
+                if f'"{key}"' in row)
+    with pytest.raises(ConfigFileError, match=rf"manifest\.json:{line}: .*'{key}'"):
+        load_manifest(path)
+
+
+def test_dotted_axes_sweep_the_named_fields(tmp_path):
+    manifest = ExperimentManifest.from_dict({
+        "schema": 1,
+        "base": {**BASE_CONFIG, "K": 20},
+        "sweep": {"seeds": [1], "schedule.momentum_beta": [0.5, 0.9],
+                  "schedule.gamma0": [0.01, 0.1]},
+        "tuning": {"enabled": False},
+    })
+    table = run_sweep(manifest, tmp_path / "out")
+    got = [(c.axes["schedule.momentum_beta"], c.axes["schedule.gamma0"], c.gamma0)
+           for c in table.cells]
+    assert got == [(0.5, 0.01, 0.01), (0.5, 0.1, 0.1), (0.9, 0.01, 0.01), (0.9, 0.1, 0.1)]
+    cell = table.cell("bit_flip", "cwmed+nnm", "byz_nsgdm",
+                      "schedule.momentum_beta=0.9", "schedule.gamma0=0.01")
+    csv = (tmp_path / "out" / "-".join(cell.name) / "seed_1.csv")
+    assert read_trajectory_csv(csv)[-1].grad_norm == cell.final_grad_norms[0]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["cells"][2]["axes"] == {"schedule.momentum_beta": 0.9,
+                                          "schedule.gamma0": 0.01}
+    assert "schedule.momentum_beta=0.5 schedule.gamma0=0.1" in table.format_table()
 
 
 def test_cell_config_keeps_base_init_momentum():
@@ -255,7 +330,14 @@ def test_cell_config_keeps_base_init_momentum():
         "base": {**BASE_CONFIG, "init_momentum": "zero",
                  "schedule": {"kind": "constant", "gamma0": 0.1}},
     })
-    cell = _cell_config(manifest, manifest.attacks[0], manifest.aggregators[0],
-                        "byz_nsgdm", 0.05, 1, 10)
-    assert cell.init_momentum == "zero"
+    (cell, axes), = manifest.cells()
+    assert cell.init_momentum == "zero" and axes == {}
     assert cell.schedule.kind == OPTIMIZER_SCHEDULE["byz_nsgdm"]
+
+
+def test_override_applies_dotted_paths():
+    cfg = parse_config(BASE_CONFIG)
+    new = override(cfg, {"schedule.gamma0": 0.02, "aggregator.nnm": False, "K": 7})
+    assert (new.schedule.gamma0, new.aggregator.nnm, new.K) == (0.02, False, 7)
+    assert new.schedule.momentum_beta == cfg.schedule.momentum_beta
+    assert (cfg.schedule.gamma0, cfg.aggregator.nnm, cfg.K) == (0.1, True, 50)
