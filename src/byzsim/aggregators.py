@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
+from typing import Literal
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, check_choices
 
 __all__ = [
     "AggregatorSpec",
@@ -36,8 +37,6 @@ __all__ = [
     "theoretical_kappa",
 ]
 
-RULES = ("mean", "krum", "gm", "cwmed", "trimmed_mean")
-
 
 @dataclass(frozen=True)
 class AggregatorSpec:
@@ -47,7 +46,7 @@ class AggregatorSpec:
     neighbor-count complement and the default per-side trim count).
     """
 
-    rule: str
+    rule: Literal["mean", "krum", "gm", "cwmed", "trimmed_mean"]
     n: int
     B: int
     nnm: bool = False
@@ -57,8 +56,7 @@ class AggregatorSpec:
     trim_b: int | None = None
 
     def __post_init__(self):
-        if self.rule not in RULES:
-            raise ConfigError(f"unknown aggregation rule: {self.rule!r}")
+        check_choices(self)
         if not 0 <= self.B < self.n / 2:
             raise ConfigError(f"need 0 <= B < n/2, got B={self.B}, n={self.n}")
         if self.rule == "krum" and self.n - self.B - 2 < 1:
@@ -77,6 +75,11 @@ class AggregatorSpec:
     @property
     def trim_count(self) -> int:
         return self.B if self.trim_b is None else self.trim_b
+
+    @property
+    def name(self) -> str:
+        """The rule as reports and sweep cells spell it: ``gm+nnm``."""
+        return self.rule + ("+nnm" if self.nnm else "")
 
 
 def _as_matrix(vectors) -> np.ndarray:
@@ -207,14 +210,15 @@ def base_kappa(rule: str, n: int, B: int, d: int) -> float | None:
 
 
 def theoretical_kappa(
-    spec: AggregatorSpec, d: int, leverage_c: float | None = None
-) -> float | None:
+    spec: AggregatorSpec, d: int, leverage_c: float | np.ndarray | None = None
+) -> float | np.ndarray | None:
     """Closed-form robustness coefficient for the spec, or None.
 
     NNM compositions need the leverage constant C of the good cluster,
     which is instance-dependent; callers that certify per instance pass
-    it in. Without it the NNM coefficient is undefined and None is
-    returned.
+    it in, a float or an array of one C per good-set labeling (the result
+    then has its shape). Without it the NNM coefficient is undefined and
+    None is returned.
     """
     kappa = base_kappa(spec.rule, spec.n, spec.B, d)
     if kappa is None:

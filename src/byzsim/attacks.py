@@ -24,14 +24,13 @@ Strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, check_choices
 
 __all__ = ["AttackSpec", "AttackContext", "byzantine_update", "shift_labels"]
-
-KINDS = ("none", "bit_flip", "label_flip", "mimic", "alie")
 
 
 @dataclass(frozen=True)
@@ -41,15 +40,14 @@ class AttackSpec:
     bit flipping from negating the momentum vector to negating the raw
     stochastic gradient."""
 
-    kind: str = "none"
+    kind: Literal["none", "bit_flip", "label_flip", "mimic", "alie"] = "none"
     mimic_warmup: int = 50
     alie_z: float = 1.0
     label_shift: int = 5
     bf_gradient_level: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown attack kind: {self.kind!r}")
+        check_choices(self)
         if self.mimic_warmup < 0:
             raise ConfigError("mimic warmup must be >= 0")
 

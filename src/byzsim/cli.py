@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import harness, verify
-from .aggregators import AggregatorSpec
+from .aggregators import AggregatorSpec, base_kappa
 from .core import ConfigError, RngStream
 from .engine import gamma0_cap, run
 from .objectives import ObjectiveSpec, OracleConfig, default_smoothness
@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--log-every", type=int, default=None)
-    p.add_argument("--plot-data", action="store_true", help="also write a gnuplot .dat file")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="run every cell of a sweep manifest")
@@ -70,8 +69,6 @@ def _cmd_run(args) -> int:
     result = run(config)
     args.out.mkdir(parents=True, exist_ok=True)
     harness.write_trajectory_csv(result.records, args.out / "trajectory.csv")
-    if args.plot_data:
-        harness.write_plot_data(result.records, args.out / "trajectory.dat")
     status = "diverged" if result.diverged else "ok"
     final = harness.final_grad_norm(result)
     print(f"{status}: {len(result.records)} records, final grad norm "
@@ -162,7 +159,7 @@ def _cmd_verify(args) -> int:
         "K": 400, "seed": args.seed, "x0": "ones", "log_every": 1,
     })
     meta = default_smoothness(quartic)
-    kappa = 2.0 * (1.0 + B / (n - 2 * B))
+    kappa = base_kappa("gm", n, B, d)
     cap = gamma0_cap(meta.L1, kappa, cfg.K)
     cfg.schedule = harness.Schedule(kind="constant", gamma0=min(0.01, cap), momentum_beta=0.9)
     result = run(cfg, capture_states=True)

@@ -1,28 +1,35 @@
-"""Dense float64 vector helpers and reproducible per-worker random streams.
+"""Dense float64 vector helpers, reproducible per-worker random streams,
+and the check of enumerated config fields.
 
 Vectors are plain 1-D ``numpy.ndarray`` objects with dtype float64.
 Randomness goes through :class:`RngStream`, a thin wrapper over a
 counter-based Philox generator keyed by (seed, stream_id), so that
 distinct workers get independent streams and the same key always replays
-the same sequence regardless of scheduling.
+the same sequence regardless of scheduling. An enumerated config field
+lists its accepted names once, as a ``Literal[...]`` type hint, which
+:func:`check_choices` and the config reader both read.
 """
 
 from __future__ import annotations
+
+import typing
+from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
 __all__ = [
     "ConfigError",
     "RngStream",
-    "norm",
+    "check_choice",
+    "check_choices",
+    "field_hints",
     "normalize",
     "gaussian_vector",
 ]
 
-# Stream-id tags for non-worker streams (worker i uses stream_id=i).
+# Stream-id tag of the shift stream (worker i uses stream_id=i).
 SHIFT_STREAM = 2**32
-BYZ_SHIFT_STREAM = 2**32 + 1
-DATASET_STREAM = 2**32 + 2
 
 
 class ConfigError(ValueError):
@@ -40,9 +47,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        key = np.array([int(seed), int(stream_id)], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normal(self, size: int, std: float = 1.0) -> np.ndarray:
@@ -57,16 +62,28 @@ class RngStream:
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
 
-    def spawn(self, stream_id: int) -> "RngStream":
-        """Derive a sibling stream under the same master seed."""
-        return RngStream(self.seed, stream_id)
 
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+@cache
+def field_hints(cls) -> dict:
+    """Field name -> resolved type hint of the dataclass ``cls``, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def check_choice(hint, value, name: str, where: str) -> None:
+    """Raise ConfigError unless ``value`` is a name the ``Literal`` hint lists."""
+    names = typing.get_args(hint)
+    if value not in names:
+        raise ConfigError(f"unknown {name} {value!r}{where}, "
+                          f"expected one of {', '.join(map(repr, names))}")
+
+
+def check_choices(obj) -> None:
+    """Raise ConfigError unless every ``Literal``-hinted field of the
+    dataclass instance ``obj`` holds one of the names its hint lists."""
+    for name, hint in field_hints(type(obj)).items():
+        if typing.get_origin(hint) is typing.Literal:
+            check_choice(hint, getattr(obj, name), name, f" in {type(obj).__name__}")
 
 
 def normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -74,7 +91,7 @@ def normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     vector (the server then takes a zero step)."""
     if eps <= 0:
         raise ConfigError(f"normalize eps must be > 0, got {eps}")
-    n = norm(v)
+    n = float(np.linalg.norm(v))
     if n > eps:
         return v / n
     return np.zeros_like(v)

@@ -26,7 +26,8 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .core import (
     SHIFT_STREAM,
     ConfigError,
     RngStream,
+    check_choices,
     gaussian_vector,
     normalize,
 )
@@ -59,13 +61,10 @@ __all__ = [
     "run",
     "schedule_values",
     "gamma0_cap",
-    "momentum_step",
 ]
 
 logger = logging.getLogger("byzsim")
 
-OPTIMIZERS = ("byz_nsgdm", "baseline", "baseline_decay")
-SCHEDULE_KINDS = ("theoretical", "practical_decay", "constant")
 # Most steps of oracle noise drawn per worker at once: 64 x n x d floats,
 # about 2 MB at n=20, d=200.
 NOISE_CHUNK = 64
@@ -81,14 +80,13 @@ class Schedule:
     eta = 1 - momentum_beta. constant: fixed gamma0 and eta.
     """
 
-    kind: str
+    kind: Literal["theoretical", "practical_decay", "constant"]
     gamma0: float
     momentum_beta: float = 0.9
     horizon: int | None = None
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind: {self.kind!r}")
+        check_choices(self)
         if self.gamma0 <= 0:
             raise ConfigError("gamma0 must be > 0")
         if not 0 <= self.momentum_beta < 1:
@@ -106,12 +104,12 @@ class RunConfig:
     attack: AttackSpec
     aggregator: AggregatorSpec
     schedule: Schedule
-    optimizer: str
+    optimizer: Literal["byz_nsgdm", "baseline", "baseline_decay"]
     K: int
     seed: int
     x0: np.ndarray
     log_every: int = 1
-    init_momentum: str = "stochastic_gradient"
+    init_momentum: Literal["stochastic_gradient", "zero"] = "stochastic_gradient"
 
 
 @dataclass
@@ -130,15 +128,15 @@ class TrajectoryRecord:
 
 @dataclass
 class RunResult:
-    """Trajectory log plus divergence status; ``states``/``aggregates``
-    hold the full per-iteration iterates and aggregated vectors when the
-    run was asked to capture them (needed by the descent checker)."""
+    """Trajectory log, divergence status and the (G, d) honest oracle shifts;
+    ``states``/``aggregates`` hold the per-iteration iterates and aggregated
+    vectors when the run was asked to capture them (for the descent checker)."""
 
     records: list[TrajectoryRecord]
     final_x: np.ndarray
+    honest_shifts: np.ndarray
     diverged: bool = False
     divergence_step: int | None = None
-    honest_shifts: list[np.ndarray] = field(default_factory=list)
     states: list[np.ndarray] | None = None
     aggregates: list[np.ndarray] | None = None
 
@@ -170,18 +168,9 @@ def gamma0_cap(L1: float, kappa: float, K: int) -> float:
     )
 
 
-def momentum_step(v_prev: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-    """(1 - eta) * v_prev + eta * g."""
-    if not 0 < eta <= 1:
-        raise ConfigError(f"eta must lie in (0, 1], got {eta}")
-    return (1.0 - eta) * v_prev + eta * g
-
-
 def _validate(config: RunConfig) -> None:
-    if config.optimizer not in OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer: {config.optimizer!r}")
-    if not 0 <= config.B < config.n / 2:
-        raise ConfigError(f"need 0 <= B < n/2, got B={config.B}, n={config.n}")
+    check_choices(config)
+    # AggregatorSpec checks 0 <= B < n/2 for the (n, B) it is built with.
     if config.aggregator.n != config.n or config.aggregator.B != config.B:
         raise ConfigError("aggregator (n, B) must match the run's (n, B)")
     if config.x0.shape != (config.objective.dim,):
@@ -192,8 +181,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("K must be >= 1")
     if config.log_every < 1:
         raise ConfigError("log_every must be >= 1")
-    if config.init_momentum not in ("stochastic_gradient", "zero"):
-        raise ConfigError(f"unknown init_momentum: {config.init_momentum!r}")
     if config.attack.kind == "label_flip" and not config.objective.is_classification:
         raise ConfigError("label_flip requires a classification objective")
     if config.objective.is_classification and config.objective.n_workers < config.n:
@@ -303,7 +290,7 @@ def run(config: RunConfig, capture_states: bool = False) -> RunResult:
     result = RunResult(
         records=[],
         final_x=x,
-        honest_shifts=list(shifts[:G]),
+        honest_shifts=shifts[:G],
         states=[x.copy()] if capture_states else None,
         aggregates=[] if capture_states else None,
     )

@@ -5,15 +5,19 @@ Config files are JSON with a ``schema`` version field. One function
 (``_build``) reads them by walking the fields and type hints of
 ``RunConfig`` and its section dataclasses: every key must name a field
 and every value must have the field's type (a JSON integer is accepted
-for a float), and an omitted field takes its ``DEFAULTS`` entry or else
-the dataclass default. ``config_to_dict`` walks the same fields back out.
+for a float; an enumerated field takes one of the names its
+``Literal[...]`` hint lists), and an omitted field takes its ``DEFAULTS``
+entry or else the dataclass default. ``config_to_dict`` walks the same
+fields back out.
 
 A sweep manifest is a base config plus axes: ``seeds``, ``attacks``,
 ``aggregators``, ``optimizers``, and dotted paths such as
 ``"schedule.momentum_beta"`` that name a field of a config section. Every
 sweep cell and tuning candidate is the base with overrides applied
 (``override``); ``configs/table1.json`` and ``configs/ablation.json`` are
-the paper's benchmark matrix and its momentum x step-size ablation.
+the paper's benchmark matrix and its momentum x step-size ablation. Two
+entries of one axis that would give cells the same name, and so the same
+output directory, are rejected at load.
 
 Trajectories are CSV with fixed columns
 ``k,grad_norm,f_value,agg_error,step_size`` and floats rendered with 17
@@ -34,14 +38,13 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .aggregators import AggregatorSpec
 from .attacks import AttackSpec
-from .core import ConfigError
+from .core import ConfigError, check_choice, field_hints
 from .engine import RunConfig, RunResult, Schedule, TrajectoryRecord, run
 
 __all__ = [
@@ -56,8 +59,6 @@ __all__ = [
     "config_to_dict",
     "override",
     "write_trajectory_csv",
-    "read_trajectory_csv",
-    "write_plot_data",
     "tune_gamma0",
     "run_sweep",
     "DEFAULT_TUNING_GRID",
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-CSV_COLUMNS = ("k", "grad_norm", "f_value", "agg_error", "step_size")
+CSV_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
 DEFAULT_TUNING_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 
 # Parse-time defaults by dotted path. An omitted field without an entry
@@ -149,13 +150,6 @@ def _fmt(v: float) -> str:
 # Config building and serialization
 
 
-@cache
-def _hints(cls) -> dict:
-    """Field name -> resolved type hint, in field order."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
 TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
               dict: "a JSON object"}
 
@@ -163,7 +157,12 @@ TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a s
 def _typed(hint, raw, key: str, where: str):
     """``raw`` checked against the type hint ``hint`` and returned as the
     field holds it: lists become tuples, sections become dataclasses, and
-    an integer becomes a float where the hint is ``float``."""
+    an integer becomes a float where the hint is ``float``. A
+    ``Literal[...]`` hint admits only the names it lists."""
+    if typing.get_origin(hint) is typing.Literal:
+        raw = _typed(type(typing.get_args(hint)[0]), raw, key, where)
+        check_choice(hint, raw, key, f" in {where}")
+        return raw
     if typing.get_origin(hint) in (typing.Union, types.UnionType):  # ``X | None``
         if raw is None:
             return None
@@ -186,7 +185,7 @@ def _build(cls, d, section: str, **given):
     Every key must name a field outside ``given`` and carry a value of
     the field's type; an omitted field takes its ``DEFAULTS`` entry, else
     an empty section, else the dataclass default."""
-    hints = {k: v for k, v in _hints(cls).items() if k not in given}
+    hints = {k: v for k, v in field_hints(cls).items() if k not in given}
     _check_keys(d, hints.keys(), section)
     prefix = "" if cls is RunConfig else f"{section}."
     kwargs = dict(given)
@@ -217,7 +216,7 @@ def _parse_x0(raw, dim: int) -> np.ndarray:
 def parse_config(d: dict) -> RunConfig:
     """Build a RunConfig from a config dict; unknown keys and ill-typed
     values at any level raise ConfigError."""
-    _check_keys(d, _hints(RunConfig).keys() | {"schema"}, "config")
+    _check_keys(d, field_hints(RunConfig).keys() | {"schema"}, "config")
     _check_schema(d)
     # The aggregator, the schedule and x0 depend on n, B, K and dim: they
     # are built once those are read.
@@ -311,21 +310,6 @@ def write_trajectory_csv(records: list[TrajectoryRecord], path) -> None:
         writer.writerows(_row(r) for r in records)
 
 
-def read_trajectory_csv(path) -> list[TrajectoryRecord]:
-    with open(path, newline="") as fh:
-        return [TrajectoryRecord(int(row["k"]), *(float(row[c]) for c in CSV_COLUMNS[1:]))
-                for row in csv.DictReader(fh)]
-
-
-def write_plot_data(records: list[TrajectoryRecord], path) -> None:
-    """Gnuplot-friendly whitespace-separated columns."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(CSV_COLUMNS) + "\n")
-        fh.writelines(" ".join(_row(r)) + "\n" for r in records)
-
-
 def final_grad_norm(result: RunResult) -> float:
     """Gradient norm of the last logged iteration; infinite for runs that
     did not finish (divergence)."""
@@ -347,8 +331,8 @@ def _dotted_axis(base: RunConfig, path: str, values) -> tuple:
     """The values of the sweep axis ``path``, each checked against the
     field's type hint and by the section it is applied to."""
     section, _, name = path.partition(".")
-    cls = _hints(RunConfig).get(section)
-    hints = _hints(cls) if is_dataclass(cls) else {}
+    cls = field_hints(RunConfig).get(section)
+    hints = field_hints(cls) if is_dataclass(cls) else {}
     if name not in hints or (section == "aggregator" and name in FROM_RUN):
         raise ConfigError(f"sweep axis {path!r} names no config field")
     values = _typed(tuple[hints[name], ...], values, path, "sweep")
@@ -376,14 +360,18 @@ class ExperimentManifest:
     tuning_prefix: int = 1000
 
     def __post_init__(self):
-        axes = {"seeds": self.seeds, "attacks": self.attacks, "aggregators": self.aggregators,
-                "optimizers": self.optimizers, **self.axes}
-        for name, values in axes.items():
+        # Each axis value as it appears in cell names and CSV file names.
+        labels = {"seeds": self.seeds, "attacks": [a.kind for a in self.attacks],
+                  "aggregators": [a.name for a in self.aggregators],
+                  "optimizers": self.optimizers, **self.axes}
+        for name, values in labels.items():
             if not values:
                 raise ConfigError(f"sweep axis {name!r} is empty")
+            if len({str(v) for v in values}) < len(values):
+                raise ConfigError(f"sweep axis {name!r} has two entries with one name; "
+                                  "the second would overwrite the first's output")
         for optimizer in self.optimizers:
-            if optimizer not in OPTIMIZER_SCHEDULE:
-                raise ConfigError(f"unknown optimizer {optimizer!r} in sweep")
+            check_choice(field_hints(RunConfig)["optimizer"], optimizer, "optimizer", " in sweep")
         if self.tune and "schedule.gamma0" in self.axes:
             raise ConfigError("sweep axis 'schedule.gamma0' needs tuning.enabled false")
 
@@ -577,10 +565,9 @@ def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTa
     table = SummaryTable()
     per_cell = iter(results)
     for (cell, axes), gamma0 in zip(cells, gamma0s):
-        agg = cell.aggregator
         summary = CellSummary(
             attack=cell.attack.kind,
-            aggregator=agg.rule + ("+nnm" if agg.nnm else ""),
+            aggregator=cell.aggregator.name,
             optimizer=cell.optimizer,
             gamma0=gamma0,
             final_grad_norms=[],

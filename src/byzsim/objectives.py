@@ -13,21 +13,22 @@ Three objectives are provided:
   that is smooth in the generalized sense but not L-smooth.
 
 The heterogeneous stochastic oracle adds Gaussian noise plus a fixed
-per-worker shift to the exact gradient; shifts are centered so that they
-sum to zero over the honest workers and the oracle stays unbiased. The
-local objective of a worker with shift s is read as f_i(x) = f(x) + <s, x>,
-which makes the shifted oracle an exact stochastic gradient of f_i.
+per-worker shift to the exact gradient; the honest shifts are one (G, d)
+array, centered so that its rows sum to zero and the oracle stays
+unbiased. The local objective of a worker with shift s is read as
+f_i(x) = f(x) + <s, x>, which makes the shifted oracle an exact
+stochastic gradient of f_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Literal
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core import ConfigError, RngStream, gaussian_vector
+from .core import ConfigError, RngStream, check_choices, gaussian_vector
 
 __all__ = [
     "ObjectiveSpec",
@@ -38,15 +39,11 @@ __all__ = [
     "make_shifts",
     "stochastic_gradient",
     "default_smoothness",
-    "local_value",
     "local_gradient",
-    "local_min_value",
     "softmax_dataset",
     "worker_shard",
     "gradient_with_labels",
 ]
-
-KINDS = ("quartic", "softmax", "exponential")
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,7 @@ class ObjectiveSpec:
     dim == n_classes * feature_dim (the flattened weight matrix).
     """
 
-    kind: str
+    kind: Literal["quartic", "softmax", "exponential"]
     dim: int
     direction: tuple[float, ...] | None = None
     n_classes: int = 0
@@ -70,8 +67,7 @@ class ObjectiveSpec:
     n_workers: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown objective kind: {self.kind!r}")
+        check_choices(self)
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.kind == "exponential":
@@ -144,15 +140,6 @@ def worker_shard(spec: ObjectiveSpec, worker_id: int) -> slice:
     return slice(worker_id * m, (worker_id + 1) * m)
 
 
-def _softmax_ce(x: np.ndarray, feats: np.ndarray, labels: np.ndarray, spec: ObjectiveSpec):
-    w = x.reshape(spec.n_classes, spec.feature_dim)
-    logits = feats @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(logits).sum(axis=1))
-    loss = float(np.mean(logz - logits[np.arange(len(labels)), labels]))
-    return loss, logits, logz
-
-
 def value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     if x.shape != (spec.dim,):
         raise ConfigError(f"point has shape {x.shape}, expected ({spec.dim},)")
@@ -161,8 +148,11 @@ def value(spec: ObjectiveSpec, x: np.ndarray) -> float:
         return s * s
     if spec.kind == "exponential":
         return float(np.exp(np.dot(np.asarray(spec.direction), x)))
-    feats, labels = softmax_dataset(spec)
-    return _softmax_ce(x, feats, labels, spec)[0]
+    feats, labels = softmax_dataset(spec)  # mean cross-entropy
+    logits = feats @ x.reshape(spec.n_classes, spec.feature_dim).T
+    logits -= logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(logits).sum(axis=1))
+    return float(np.mean(logz - logits[np.arange(len(labels)), labels]))
 
 
 def gradient(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
@@ -201,14 +191,14 @@ def gradient_with_labels(
     return (probs.T @ feats).ravel() / len(labels)
 
 
-def make_shifts(rng: RngStream, G: int, d: int, shift_variance: float) -> list[np.ndarray]:
-    """Draw G per-worker shift vectors ~ N(0, shift_variance I) and center
-    them so their sum is zero (up to round-off)."""
+def make_shifts(rng: RngStream, G: int, d: int, shift_variance: float) -> np.ndarray:
+    """(G, d) per-worker shifts ~ N(0, shift_variance I), drawn as one
+    block of G*d normals (row i equals the i-th of G successive d-draws)
+    and centered so that the rows sum to zero (up to round-off)."""
     if G < 1:
         raise ConfigError(f"need G >= 1, got {G}")
-    raw = [gaussian_vector(rng, d, shift_variance) for _ in range(G)]
-    mean = np.mean(raw, axis=0)
-    return [s - mean for s in raw]
+    raw = gaussian_vector(rng, G * d, shift_variance).reshape(G, d)
+    return raw - raw.mean(axis=0)
 
 
 def stochastic_gradient(
@@ -225,39 +215,8 @@ def stochastic_gradient(
     return gradient(spec, x) + gaussian_vector(rng, spec.dim, noise_variance) + shift
 
 
-def local_value(spec: ObjectiveSpec, x: np.ndarray, shift: np.ndarray) -> float:
-    """Worker-local objective f_i(x) = f(x) + <s_i, x>."""
-    return value(spec, x) + float(np.dot(shift, x))
-
-
 def local_gradient(spec: ObjectiveSpec, x: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return gradient(spec, x) + shift
-
-
-def local_min_value(spec: ObjectiveSpec, shift: np.ndarray, x0: np.ndarray | None = None) -> float:
-    """Numerical minimum of the shifted local objective f_i.
-
-    Multi-start BFGS with the analytic gradient; precise enough for the
-    lower-bound checks, which only consume f_i* through loose inequalities.
-    """
-    starts = [np.zeros(spec.dim)]
-    n = float(np.linalg.norm(shift))
-    if n > 0:
-        starts.append(-shift / n)
-        starts.append(-shift)
-    if x0 is not None:
-        starts.append(np.asarray(x0, dtype=float))
-    best = np.inf
-    for s in starts:
-        res = minimize(
-            lambda z: local_value(spec, z, shift),
-            s,
-            jac=lambda z: local_gradient(spec, z, shift),
-            method="BFGS",
-            options={"gtol": 1e-12, "maxiter": 500},
-        )
-        best = min(best, float(res.fun))
-    return best
 
 
 def default_smoothness(spec: ObjectiveSpec) -> SmoothnessMeta:

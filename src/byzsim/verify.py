@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, aggregate, base_kappa
+from .aggregators import AggregatorSpec, aggregate, base_kappa, theoretical_kappa
 from .core import ConfigError, RngStream
 from .engine import RunConfig, RunResult, schedule_values
 from .objectives import (
@@ -57,18 +57,8 @@ class CheckReport:
     worst_margin: float
     parameters: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "parameters": self.parameters,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
@@ -138,11 +128,11 @@ def check_robustness(
     For each instance the bound is checked against every admissible
     good-set labeling of size G (sampled when their number exceeds
     ``max_labelings``). The coefficient used is, in order: the explicit
-    ``kappa`` argument, the rule's closed form (composed per labeling
-    with (8k+4)*alpha*C for NNM, alpha = B/(n-B), C the labeling's
-    leverage constant), or nothing, in which case only the empirical
-    worst ratio is recorded and no violation is counted. Tolerance is
-    relative to the larger of the bound and the instance scale.
+    ``kappa`` argument, the rule's closed form (``theoretical_kappa``,
+    given each labeling's leverage constant C for NNM), or nothing, in
+    which case only the empirical worst ratio is recorded and no
+    violation is counted. Tolerance is relative to the larger of the
+    bound and the instance scale.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -150,7 +140,6 @@ def check_robustness(
     G = n - B
     kappa_base = base_kappa(spec.rule, n, B, d)
     asserted = kappa is not None or kappa_base is not None
-    alpha = B / (n - B)
 
     if math.comb(n, B) <= max_labelings:
         subsets = _byz_subsets(n, B)
@@ -197,13 +186,8 @@ def check_robustness(
 
         if not asserted:
             continue
-        if kappa is not None:
-            kap = np.full(n_sub, kappa)
-        elif spec.nnm:
-            lev_c = np.where(positive, good_max * G / np.maximum(disp, 1e-300), 0.0)
-            kap = (8.0 * kappa_base + 4.0) * alpha * lev_c
-        else:
-            kap = np.full(n_sub, kappa_base)
+        lev_c = np.where(positive, good_max * G / np.maximum(disp, 1e-300), 0.0)
+        kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
         rhs = np.where(positive, kap / G * disp, 0.0)
         tol = tol_rel * np.maximum(np.maximum(rhs, maxdev), 1.0)
         margins = rhs + tol - lhs
@@ -211,7 +195,7 @@ def check_robustness(
         worst_margin = min(worst_margin, float(margins.min()))
 
     return CheckReport(
-        name=f"robustness[{spec.rule}{'+nnm' if spec.nnm else ''}]",
+        name=f"robustness[{spec.name}]",
         instances=trials,
         violations=violations if asserted else 0,
         worst_margin=worst_margin if asserted else math.inf,
@@ -337,7 +321,6 @@ def check_descent(
     spec = config.objective
     meta = meta or default_smoothness(spec)
     L0, L1 = meta.L0, meta.L1
-    shifts = np.stack(result.honest_shifts)
 
     violations = 0
     worst_margin = math.inf
@@ -348,7 +331,7 @@ def check_descent(
         v = result.aggregates[k - 1]
         gamma = schedule_values(config.schedule, k - 1)[0]
         g_prev = gradient(spec, x_prev)
-        mean_local = float(np.linalg.norm(g_prev[None, :] + shifts, axis=1).mean())
+        mean_local = float(np.linalg.norm(g_prev + result.honest_shifts, axis=1).mean())
         f_prev = value(spec, x_prev)
         rhs = (
             f_prev
@@ -378,14 +361,14 @@ def measure_heterogeneity(
     points: int,
     rng: RngStream,
     G: int | None = None,
-    shifts: list[np.ndarray] | None = None,
+    shifts: np.ndarray | None = None,
     radius: float = 5.0,
 ) -> float:
     """Empirical heterogeneity bound: the max over sampled points of the
     root-mean-square deviation of local gradients from the global one.
 
-    Shifts may be passed explicitly; otherwise G of them are drawn and
-    centered exactly as the engine does.
+    Shifts may be passed explicitly, one per row; otherwise G of them are
+    drawn and centered exactly as the engine does.
     """
     if points < 1:
         raise ConfigError("points must be >= 1")

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import byzsim
 from byzsim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = str(Path(byzsim.__file__).resolve().parent.parent)
 
 CONFIG = {
     "schema": 1,
@@ -30,7 +35,7 @@ def write(tmp_path, data, name="config.json"):
 
 def test_run_smoke(tmp_path, capsys):
     cfg = write(tmp_path, CONFIG)
-    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--plot-data"])
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("ok:")
@@ -40,7 +45,7 @@ def test_run_smoke(tmp_path, capsys):
     assert 0 < len(rows) - 1 <= 61
     # grad_norm column strictly positive on this run
     assert all(float(r.split(",")[1]) > 0 for r in rows[1:])
-    assert (tmp_path / "out" / "trajectory.dat").exists()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["trajectory.csv"]
 
 
 def test_run_byte_identical_repeats(tmp_path):
@@ -82,6 +87,25 @@ def test_ill_typed_value_reports_line(tmp_path, capsys):
     rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"config.json:{line}: 'K' in config must be an integer" in capsys.readouterr().err
+
+
+def test_misspelled_optimizer_reports_line(tmp_path, capsys):
+    path = write(tmp_path, {**CONFIG, "optimizer": "byz_nsgmd"})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
+                if '"optimizer"' in row)
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"config.json:{line}: unknown optimizer 'byz_nsgmd' in config"
+            in capsys.readouterr().err)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported lazily, by the one check that needs it: a fresh
+    interpreter that imports the CLI has no scipy module loaded."""
+    code = "import sys, byzsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "[]"
 
 
 def test_diverged_run_exits_zero(tmp_path, capsys):

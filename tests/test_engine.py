@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from byzsim.engine import (
     RunConfig,
     Schedule,
     gamma0_cap,
-    momentum_step,
     run,
     schedule_values,
 )
@@ -92,41 +92,57 @@ def test_gamma0_cap_examples():
 
 
 # ---------------------------------------------------------------------------
-# Momentum
+# Momentum, as the engine runs it: one noiseless, shiftless worker under
+# the mean, so the k-th aggregate is that worker's momentum v^k, and its
+# gradients are the exact gradients at the captured iterates.
+
+
+def momenta_and_gradients(beta, K, **kw):
+    schedule = Schedule(kind="constant", gamma0=0.01, momentum_beta=beta)
+    cfg = quartic_config(schedule=schedule, K=K, **kw)
+    result = run(cfg, capture_states=True)
+    return result.aggregates, [gradient(cfg.objective, x) for x in result.states]
 
 
 def test_momentum_full_replacement():
-    g = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(momentum_step(np.array([9.0, 9.0]), g, 1.0), g)
+    """eta = 1 (beta = 0): each momentum is this step's gradient."""
+    momenta, grads = momenta_and_gradients(0.0, 5, init_momentum="zero")
+    for v, g in zip(momenta, grads):
+        np.testing.assert_array_equal(v, g)
 
 
 def test_momentum_half():
-    out = momentum_step(np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5)
-    np.testing.assert_array_equal(out, [1.0, 1.0])
+    """eta = 1/2: v^1 = g^0 / 2 from a zero start, then the mean of the
+    previous momentum and this step's gradient."""
+    momenta, grads = momenta_and_gradients(0.5, 3, init_momentum="zero")
+    np.testing.assert_array_equal(momenta[0], 0.5 * grads[0])
+    for k in (1, 2):
+        np.testing.assert_array_equal(momenta[k], 0.5 * momenta[k - 1] + 0.5 * grads[k])
 
 
 def test_momentum_eta_bounds():
+    """eta = 1 - momentum_beta must lie in (0, 1]."""
     with pytest.raises(ConfigError):
-        momentum_step(np.zeros(2), np.zeros(2), 0.0)
+        Schedule(kind="constant", gamma0=0.1, momentum_beta=1.0)  # eta = 0
     with pytest.raises(ConfigError):
-        momentum_step(np.zeros(2), np.zeros(2), 1.5)
+        Schedule(kind="constant", gamma0=0.1, momentum_beta=-0.5)  # eta = 1.5
 
 
-@settings(max_examples=50)
-@given(st.floats(0.01, 1.0), st.integers(1, 30), st.integers(0, 10**6))
-def test_momentum_unrolled_identity(eta, steps, seed):
-    """Recursive momentum equals the geometric unrolled sum to 1e-12
-    relative accuracy."""
-    rng = RngStream(seed, 0)
-    v0 = rng.normal(4)
-    gs = [rng.normal(4) for _ in range(steps)]
-    v = v0.copy()
-    for g in gs:
-        v = momentum_step(v, g, eta)
-    unrolled = (1 - eta) ** steps * v0
-    for t, g in enumerate(gs):
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.0, 0.99), st.integers(1, 30), st.integers(0, 10**6))
+def test_momentum_unrolled_identity(beta, steps, seed):
+    """The engine's recursive momentum equals the geometric unrolled sum
+    to 1e-12 relative accuracy, from a random start."""
+    eta = 1.0 - beta
+    x0 = RngStream(seed, 0).normal(10)
+    schedule = Schedule(kind="constant", gamma0=0.01, momentum_beta=beta)
+    cfg = replace(quartic_config(schedule=schedule, K=steps), x0=x0)
+    result = run(cfg, capture_states=True)
+    gs = [gradient(cfg.objective, x) for x in result.states]
+    unrolled = (1 - eta) ** steps * gs[0]  # v^0 is the first gradient draw
+    for t, g in enumerate(gs[:steps]):
         unrolled = unrolled + eta * (1 - eta) ** (steps - 1 - t) * g
-    np.testing.assert_allclose(v, unrolled, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(result.aggregates[-1], unrolled, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +280,10 @@ def test_config_validation():
         run(cfg)
     with pytest.raises(ConfigError, match="oracle.labels"):
         run(softmax_config(oracle=OracleConfig(labels=())))
+    with pytest.raises(ConfigError, match="unknown optimizer 'byz_nsgmd' in RunConfig"):
+        run(quartic_config(optimizer="byz_nsgmd"))
+    with pytest.raises(ConfigError, match="unknown init_momentum 'one'"):
+        run(quartic_config(init_momentum="one"))
 
 
 SOFTMAX_SPEC = ObjectiveSpec(kind="softmax", dim=12, n_classes=4, feature_dim=3,

@@ -1,12 +1,15 @@
+import csv
 import json
 import math
+import typing
 from pathlib import Path
 
 import pytest
 
-from byzsim.core import ConfigError
-from byzsim.engine import TrajectoryRecord, run
+from byzsim.core import ConfigError, field_hints
+from byzsim.engine import RunConfig, TrajectoryRecord, run
 from byzsim.harness import (
+    CSV_COLUMNS,
     OPTIMIZER_SCHEDULE,
     ConfigFileError,
     ExperimentManifest,
@@ -16,10 +19,8 @@ from byzsim.harness import (
     load_manifest,
     override,
     parse_config,
-    read_trajectory_csv,
     run_sweep,
     tune_gamma0,
-    write_plot_data,
     write_trajectory_csv,
 )
 from test_golden import GOLDEN, golden_config
@@ -41,6 +42,11 @@ BASE_CONFIG = {
     "x0": "ones",
     "log_every": 5,
 }
+
+
+def read_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -85,7 +91,8 @@ def test_csv_roundtrip_exact(tmp_path):
     result = run(cfg)
     path = tmp_path / "t.csv"
     write_trajectory_csv(result.records, path)
-    back = read_trajectory_csv(path)
+    back = [TrajectoryRecord(int(row["k"]), *(float(row[c]) for c in CSV_COLUMNS[1:]))
+            for row in read_rows(path)]
     assert back == result.records  # 17 significant digits round-trip
 
 
@@ -96,15 +103,6 @@ def test_csv_byte_identical_between_runs(tmp_path):
     write_trajectory_csv(run(cfg1).records, p1)
     write_trajectory_csv(run(cfg2).records, p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_plot_data_format(tmp_path):
-    records = [TrajectoryRecord(0, 1.0, 2.0, 0.0, 0.0)]
-    path = tmp_path / "t.dat"
-    write_plot_data(records, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# k grad_norm")
-    assert lines[1].split() == ["0", "1", "2", "0", "0"]
 
 
 def test_final_grad_norm_diverged():
@@ -179,8 +177,8 @@ def test_sweep_summary_recomputable_from_csvs(tmp_path):
         "tuning": {"enabled": False},
     })
     table = run_sweep(manifest, tmp_path / "out")
-    rows = read_trajectory_csv(tmp_path / "out" / "none-mean-byz_nsgdm" / "seed_1.csv")
-    assert rows[-1].grad_norm == table.cells[0].final_grad_norms[0]
+    rows = read_rows(tmp_path / "out" / "none-mean-byz_nsgdm" / "seed_1.csv")
+    assert float(rows[-1]["grad_norm"]) == table.cells[0].final_grad_norms[0]
 
 
 def test_sweep_parallel_jobs_identical(tmp_path):
@@ -291,6 +289,11 @@ def test_shipped_configs_parse():
     pytest.param({"schedule.momentum_beta": [1.5]}, {"enabled": False},
                  "schedule.momentum_beta", id="axis-out-of-range"),
     pytest.param({"seeds": []}, {}, "seeds", id="empty-axis"),
+    # Cells are named by attack kind and rule: these pairs would share a name.
+    pytest.param({"attacks": [{"kind": "alie"}, {"kind": "alie", "alie_z": 3.0}]}, {},
+                 "attacks", id="attack-cell-name-collision"),
+    pytest.param({"aggregators": [{"rule": "gm"}, {"rule": "gm", "gm_nu": 1e-6}]}, {},
+                 "aggregators", id="aggregator-cell-name-collision"),
 ])
 def test_bad_sweep_axis_rejected_at_load_with_file_line(tmp_path, sweep, tuning, key):
     path = tmp_path / "manifest.json"
@@ -316,8 +319,8 @@ def test_dotted_axes_sweep_the_named_fields(tmp_path):
     assert got == [(0.5, 0.01, 0.01), (0.5, 0.1, 0.1), (0.9, 0.01, 0.01), (0.9, 0.1, 0.1)]
     cell = table.cell("bit_flip", "cwmed+nnm", "byz_nsgdm",
                       "schedule.momentum_beta=0.9", "schedule.gamma0=0.01")
-    csv = (tmp_path / "out" / "-".join(cell.name) / "seed_1.csv")
-    assert read_trajectory_csv(csv)[-1].grad_norm == cell.final_grad_norms[0]
+    path = tmp_path / "out" / "-".join(cell.name) / "seed_1.csv"
+    assert float(read_rows(path)[-1]["grad_norm"]) == cell.final_grad_norms[0]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["cells"][2]["axes"] == {"schedule.momentum_beta": 0.9,
                                           "schedule.gamma0": 0.01}
@@ -333,6 +336,11 @@ def test_cell_config_keeps_base_init_momentum():
     (cell, axes), = manifest.cells()
     assert cell.init_momentum == "zero" and axes == {}
     assert cell.schedule.kind == OPTIMIZER_SCHEDULE["byz_nsgdm"]
+
+
+def test_optimizer_schedule_covers_every_optimizer():
+    names = typing.get_args(field_hints(RunConfig)["optimizer"])
+    assert sorted(OPTIMIZER_SCHEDULE) == sorted(names)
 
 
 def test_override_applies_dotted_paths():

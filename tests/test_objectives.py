@@ -9,8 +9,7 @@ from byzsim.objectives import (
     default_smoothness,
     gradient,
     gradient_with_labels,
-    local_min_value,
-    local_value,
+    local_gradient,
     make_shifts,
     softmax_dataset,
     stochastic_gradient,
@@ -118,22 +117,38 @@ def test_oracle_unbiased_across_workers_noiseless():
     np.testing.assert_allclose(np.mean(draws, axis=0), gradient(QUARTIC, x), atol=1e-12)
 
 
+def local_min_value(shift):
+    """Closed-form minimum of the tilted quartic ||x||^4 + <s, x>."""
+    return -0.75 * (0.25 ** (1.0 / 3.0)) * float(np.linalg.norm(shift)) ** (4.0 / 3.0)
+
+
 def test_local_objective_reading():
+    """The shifted oracle is the gradient of f_i(x) = f(x) + <s, x>: a
+    central difference of f_i matches ``local_gradient``."""
     shift = np.array([1.0] + [0.0] * 9)
     x = 0.2 * np.ones(10)
-    assert local_value(QUARTIC, x, shift) == pytest.approx(value(QUARTIC, x) + 0.2)
+    h = 1e-5
+    fd = [(value(QUARTIC, x + e) + shift @ (x + e) - value(QUARTIC, x - e) - shift @ (x - e))
+          / (2 * h) for e in h * np.eye(10)]
+    np.testing.assert_allclose(fd, local_gradient(QUARTIC, x, shift), rtol=1e-8, atol=1e-10)
 
 
 def test_local_min_value_matches_closed_form():
-    """For the tilted quartic ||x||^4 + <s, x> the minimum is
-    -(3/4) * (1/4)^(1/3) * ||s||^(4/3); the numerical minimizer must
-    agree."""
+    """The minimum of the tilted quartic ||x||^4 + <s, x> is
+    -(3/4) * (1/4)^(1/3) * ||s||^(4/3), reached at
+    x* = -(||s||/4)^(1/3) s/||s||: the gradient vanishes there, f_i takes
+    the closed-form value, and nearby points lie no lower."""
+    rng = RngStream(3, 0)
     for sn in (0.05, 0.1, 0.3):
         shift = np.zeros(10)
         shift[0] = sn
-        expected = -0.75 * (0.25 ** (1.0 / 3.0)) * sn ** (4.0 / 3.0)
-        got = local_min_value(QUARTIC, shift)
-        assert got == pytest.approx(expected, rel=1e-6)
+        x_star = -((sn / 4.0) ** (1.0 / 3.0)) * shift / sn
+        f_star = value(QUARTIC, x_star) + shift @ x_star
+        assert f_star == pytest.approx(local_min_value(shift), rel=1e-12)
+        assert np.abs(local_gradient(QUARTIC, x_star, shift)).max() <= 1e-15
+        for _ in range(100):
+            x = x_star + 1e-2 * rng.normal(10)
+            assert value(QUARTIC, x) + shift @ x >= f_star
 
 
 def test_quartic_smoothness_hessian_bound():
@@ -153,7 +168,7 @@ def test_sum_gradient_norm_bound():
     8 L1 (f - f*) + 8 L1 D* + L0/L1 for the tilted quartic locals."""
     meta = default_smoothness(QUARTIC)
     shifts = make_shifts(RngStream(21, 0), 6, 10, 1e-3)
-    locals_min = [local_min_value(QUARTIC, s) for s in shifts]
+    locals_min = [local_min_value(s) for s in shifts]
     delta_star = -float(np.mean(locals_min))  # f* = 0
     rng = RngStream(21, 1)
     for _ in range(50):
