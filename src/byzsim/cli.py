@@ -61,11 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = harness.load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.log_every is not None:
-        config.log_every = args.log_every
+    changes = {"seed": args.seed, "log_every": args.log_every}
+    config = harness.load_config(args.config, {k: v for k, v in changes.items() if v is not None})
     result = run(config)
     args.out.mkdir(parents=True, exist_ok=True)
     harness.write_trajectory_csv(result.records, args.out / "trajectory.csv")
@@ -85,10 +82,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_tune(args) -> int:
     config = harness.load_config(args.config)
-    prefix = {"K": args.prefix, "log_every": args.prefix}
-    best, table = harness.tune_gamma0(
-        lambda g: harness.override(config, {"schedule.gamma0": g, **prefix})
-    )
+    # config_to_dict writes a theoretical schedule's horizon, which the
+    # prefix's K then leaves at the config's.
+    best, table = harness.tune_gamma0(harness.config_to_dict(config),
+                                      {"K": args.prefix, "log_every": args.prefix})
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": harness.SCHEMA_VERSION,
@@ -147,6 +144,9 @@ def _cmd_verify(args) -> int:
     for spec in (quartic, exp_spec, soft_spec):
         record(check_gradient(spec, 100, rng=RngStream(args.seed, 5)))
 
+    meta = default_smoothness(quartic)
+    kappa = base_kappa("gm", n, B, d)
+    K = 400
     cfg = harness.parse_config({
         "schema": 1,
         "objective": {"kind": "quartic", "dim": d},
@@ -154,14 +154,11 @@ def _cmd_verify(args) -> int:
         "n": n, "B": B,
         "attack": {"kind": "bit_flip"},
         "aggregator": {"rule": "gm", "nnm": True},
-        "schedule": {"kind": "constant", "gamma0": 0.01, "momentum_beta": 0.9},
+        "schedule": {"kind": "constant", "gamma0": min(0.01, gamma0_cap(meta.L1, kappa, K)),
+                     "momentum_beta": 0.9},
         "optimizer": "byz_nsgdm",
-        "K": 400, "seed": args.seed, "x0": "ones", "log_every": 1,
+        "K": K, "seed": args.seed, "x0": "ones", "log_every": 1,
     })
-    meta = default_smoothness(quartic)
-    kappa = base_kappa("gm", n, B, d)
-    cap = gamma0_cap(meta.L1, kappa, cfg.K)
-    cfg.schedule = harness.Schedule(kind="constant", gamma0=min(0.01, cap), momentum_beta=0.9)
     result = run(cfg, capture_states=True)
     record(check_descent(result, cfg, meta))
 

@@ -10,14 +10,22 @@ for a float; an enumerated field takes one of the names its
 entry or else the dataclass default. ``config_to_dict`` walks the same
 fields back out.
 
-A sweep manifest is a base config plus axes: ``seeds``, ``attacks``,
-``aggregators``, ``optimizers``, and dotted paths such as
-``"schedule.momentum_beta"`` that name a field of a config section. Every
-sweep cell and tuning candidate is the base with overrides applied
-(``override``); ``configs/table1.json`` and ``configs/ablation.json`` are
-the paper's benchmark matrix and its momentum x step-size ablation. Two
-entries of one axis that would give cells the same name, and so the same
-output directory, are rejected at load.
+``parse_config`` is the one place a ``RunConfig`` is built from data.
+Every sweep cell, tuning candidate and run is a config dict with some
+paths set (``with_changes``) and parsed again, so the fields derived from
+others follow them: a theoretical horizon follows K, and the aggregator's
+(n, B) follow the run's.
+
+A sweep manifest is a base config dict plus axes. The named axes
+``seeds``, ``attacks``, ``aggregators`` and ``optimizers`` set the config
+paths ``seed``, ``attack``, ``aggregator`` and ``optimizer``; any other
+sweep key is itself a config path, top-level (``"K"``, ``"B"``) or dotted
+(``"schedule.momentum_beta"``). ``configs/table1.json`` and
+``configs/ablation.json`` are the paper's benchmark matrix and its
+momentum x step-size ablation. Each axis value is checked at load by
+parsing the base with that one value set, and two entries of one axis
+that would give cells the same name, and so the same output directory,
+are rejected.
 
 Trajectories are CSV with fixed columns
 ``k,grad_norm,f_value,agg_error,step_size`` and floats rendered with 17
@@ -43,7 +51,6 @@ from pathlib import Path
 import numpy as np
 
 from .aggregators import AggregatorSpec
-from .attacks import AttackSpec
 from .core import ConfigError, check_choice, field_hints
 from .engine import RunConfig, RunResult, Schedule, TrajectoryRecord, run
 
@@ -57,7 +64,7 @@ __all__ = [
     "load_manifest",
     "parse_config",
     "config_to_dict",
-    "override",
+    "with_changes",
     "write_trajectory_csv",
     "tune_gamma0",
     "run_sweep",
@@ -72,7 +79,7 @@ DEFAULT_TUNING_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0
 # Parse-time defaults by dotted path. An omitted field without an entry
 # takes its dataclass default. Two more values are implied by other keys:
 # the aggregator's n and B are always the run's, and a theoretical
-# schedule's horizon defaults to K.
+# schedule's horizon defaults to K; both are derived again on every parse.
 DEFAULTS = {
     "objective.kind": "quartic",
     "objective.dim": 10,
@@ -106,9 +113,9 @@ class ConfigFileError(ConfigError):
         super().__init__(f"{loc}: {message}")
 
 
-def _key_line(text: str, key: str) -> int | None:
+def _key_line(text: str, key: str, start: int = 1) -> int | None:
     needle = f'"{key}"'
-    for i, row in enumerate(text.splitlines(), start=1):
+    for i, row in enumerate(text.splitlines()[start - 1:], start=start):
         if needle in row:
             return i
     return None
@@ -116,22 +123,29 @@ def _key_line(text: str, key: str) -> int | None:
 
 def _error_line(text: str, message: str) -> int | None:
     """Best effort: the line of the first key the message quotes, else of
-    the first word of the message that is a key in the file."""
+    the first word of the message that is a key in the file. A sweep
+    axis's key is looked for from the ``sweep`` block on, past a base key
+    of the same name (``"B"``)."""
+    start = (message.startswith("sweep axis") and _key_line(text, "sweep")) or 1
     tokens = re.findall(r"'([^']+)'", message)
     tokens += [t.strip("'\":") for t in message.replace(",", " ").split()]
     for token in tokens:
-        line = _key_line(text, token)
+        line = _key_line(text, token, start)
         if line:
             return line
     return None
 
 
+def _object(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    return d
+
+
 def _check_keys(d, allowed, where: str) -> dict:
     """Return ``d`` if it is an object whose keys all lie in ``allowed``;
     otherwise raise a ConfigError that quotes the offending key."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
-    for key in d:
+    for key in _object(d, where):
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
     return d
@@ -253,21 +267,19 @@ def config_to_dict(config: RunConfig) -> dict:
     return {"schema": SCHEMA_VERSION, **_to_json(config)}
 
 
-def override(config: RunConfig, changes: dict) -> RunConfig:
-    """``config`` with ``changes`` applied through ``dataclasses.replace``.
-    A key names a RunConfig field, or with a dot a field of one of its
-    sections (``"schedule.gamma0"``); the sections check their new values
-    as they are built."""
-    top, nested = {}, {}
+def with_changes(d: dict, changes: dict) -> dict:
+    """A copy of the config dict ``d`` with each path of ``changes`` set:
+    a top-level key (``"K"``) or a dotted path into a section
+    (``"schedule.gamma0"``). ``d`` and its sections are left as they are."""
+    out = dict(_object(d, "config"))
     for path, value in changes.items():
-        section, _, name = path.partition(".")
-        if name:
-            nested.setdefault(section, {})[name] = value
-        else:
-            top[path] = value
-    for section, values in nested.items():
-        top[section] = replace(top.get(section, getattr(config, section)), **values)
-    return replace(config, **top)
+        *sections, name = path.split(".")
+        node = out
+        for section in sections:
+            node[section] = dict(_object(node.get(section, {}), section))
+            node = node[section]
+        node[name] = value
+    return out
 
 
 def _load(path, parse):
@@ -283,9 +295,10 @@ def _load(path, parse):
         raise ConfigFileError(path, _error_line(text, str(e)), str(e)) from e
 
 
-def load_config(path) -> RunConfig:
-    """Parse a run config file; errors carry ``file:line``."""
-    return _load(path, parse_config)
+def load_config(path, changes: dict | None = None) -> RunConfig:
+    """Parse a run config file with ``changes`` set (``with_changes``);
+    errors carry ``file:line``."""
+    return _load(path, lambda d: parse_config(with_changes(d, changes or {})))
 
 
 def load_manifest(path) -> "ExperimentManifest":
@@ -323,88 +336,71 @@ def final_grad_norm(result: RunResult) -> float:
 
 
 MANIFEST_KEYS = frozenset({"schema", "base", "sweep", "tuning"})
-SWEEP_KEYS = frozenset({"seeds", "attacks", "aggregators", "optimizers"})
 TUNING_KEYS = frozenset({"enabled", "grid", "prefix_iters"})
+# Named sweep axis -> the config path it sets, and the path of the value
+# that names it in output: cells by attack kind, rule name and optimizer,
+# runs by seed.
+NAMED_AXES = {
+    "seeds": ("seed", "seed"),
+    "attacks": ("attack", "attack.kind"),
+    "aggregators": ("aggregator", "aggregator.name"),
+    "optimizers": ("optimizer", "optimizer"),
+}
 
 
-def _dotted_axis(base: RunConfig, path: str, values) -> tuple:
-    """The values of the sweep axis ``path``, each checked against the
-    field's type hint and by the section it is applied to."""
-    section, _, name = path.partition(".")
-    cls = field_hints(RunConfig).get(section)
-    hints = field_hints(cls) if is_dataclass(cls) else {}
-    if name not in hints or (section == "aggregator" and name in FROM_RUN):
-        raise ConfigError(f"sweep axis {path!r} names no config field")
-    values = _typed(tuple[hints[name], ...], values, path, "sweep")
-    for value in values:
-        try:
-            override(base, {path: value})
-        except ConfigError as e:
-            raise ConfigError(f"sweep axis {path!r}: {e}") from e
-    return values
+def _label(config: RunConfig, path: str):
+    """The value at the dotted ``path`` of ``config``, as JSON holds it."""
+    value = config
+    for name in path.split("."):
+        value = getattr(value, name)
+    return _to_json(value)
 
 
 @dataclass
 class ExperimentManifest:
-    """A base run configuration plus the sweep axes and tuning settings.
-    ``axes`` maps dotted config paths to the values they sweep."""
+    """A base config dict plus the sweep axes and tuning settings. ``axes``
+    maps each sweep key to its list of raw config values: a named axis
+    (``NAMED_AXES``) sets its config path, any other key is the config
+    path it sets."""
 
-    base: RunConfig
-    seeds: tuple[int, ...]
-    attacks: tuple[AttackSpec, ...]
-    aggregators: tuple[AggregatorSpec, ...]
-    optimizers: tuple[str, ...]
-    axes: dict[str, tuple] = field(default_factory=dict)
+    base: dict
+    axes: dict[str, list] = field(default_factory=dict)
     tune: bool = True
     tuning_grid: tuple[float, ...] = DEFAULT_TUNING_GRID
     tuning_prefix: int = 1000
 
     def __post_init__(self):
-        # Each axis value as it appears in cell names and CSV file names.
-        labels = {"seeds": self.seeds, "attacks": [a.kind for a in self.attacks],
-                  "aggregators": [a.name for a in self.aggregators],
-                  "optimizers": self.optimizers, **self.axes}
-        for name, values in labels.items():
+        self.config({})  # the base alone, so that its own errors name no axis
+        named_paths = {path: key for key, (path, _) in NAMED_AXES.items()}
+        for key, values in self.axes.items():
+            path, label = NAMED_AXES.get(key, (key, key))
+            if key in named_paths:
+                raise ConfigError(f"sweep axis {key!r}: use the named axis {named_paths[key]!r}")
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{key!r} in sweep must be a list, got {values!r}")
             if not values:
-                raise ConfigError(f"sweep axis {name!r} is empty")
-            if len({str(v) for v in values}) < len(values):
-                raise ConfigError(f"sweep axis {name!r} has two entries with one name; "
+                raise ConfigError(f"sweep axis {key!r} is empty")
+            try:
+                labels = {str(_label(self.config({path: v}), label)) for v in values}
+            except ConfigError as e:
+                raise ConfigError(f"sweep axis {key!r}: {e}") from e
+            if len(labels) < len(values):
+                raise ConfigError(f"sweep axis {key!r} has two entries with one name; "
                                   "the second would overwrite the first's output")
-        for optimizer in self.optimizers:
-            check_choice(field_hints(RunConfig)["optimizer"], optimizer, "optimizer", " in sweep")
         if self.tune and "schedule.gamma0" in self.axes:
             raise ConfigError("sweep axis 'schedule.gamma0' needs tuning.enabled false")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentManifest":
-        """Parse a manifest dict. Sweep axes it omits default to the base
+        """Parse a manifest dict. Sweep axes it omits hold the base
         config's single setting; unknown keys and ill-typed values at any
         level raise ConfigError."""
         _check_keys(d, MANIFEST_KEYS, "manifest")
         _check_schema(d)
-        if not isinstance(d.get("base"), dict):
-            raise ConfigError("manifest needs a 'base' config object")
-        base = parse_config({**d["base"], "schema": SCHEMA_VERSION})
-        sweep = d.get("sweep", {})
-        dotted = {k: v for k, v in sweep.items() if "." in k} if isinstance(sweep, dict) else {}
-        _check_keys(sweep, SWEEP_KEYS | dotted.keys(), "sweep")
         tuning = _check_keys(d.get("tuning", {}), TUNING_KEYS, "tuning")
-        attacks = sweep.get("attacks")
-        aggregators = sweep.get("aggregators")
         return cls(
-            base=base,
-            seeds=_typed(tuple[int, ...], sweep.get("seeds", [base.seed]), "seeds", "sweep"),
-            attacks=(base.attack,) if attacks is None else tuple(
-                _build(AttackSpec, a, "attack")
-                for a in _typed(tuple[dict, ...], attacks, "attacks", "sweep")
-            ),
-            aggregators=(base.aggregator,) if aggregators is None else tuple(
-                _build(AggregatorSpec, a, "aggregator", n=base.n, B=base.B)
-                for a in _typed(tuple[dict, ...], aggregators, "aggregators", "sweep")
-            ),
-            optimizers=_typed(tuple[str, ...], sweep.get("optimizers", [base.optimizer]),
-                              "optimizers", "sweep"),
-            axes={k: _dotted_axis(base, k, v) for k, v in dotted.items()},
+            base=_object(d.get("base"), "manifest base"),
+            axes=_object(d.get("sweep", {}), "sweep"),
             tune=_typed(bool, tuning.get("enabled", True), "enabled", "tuning"),
             tuning_grid=_typed(tuple[float, ...], tuning.get("grid", DEFAULT_TUNING_GRID),
                                "grid", "tuning"),
@@ -412,19 +408,31 @@ class ExperimentManifest:
                                  "tuning"),
         )
 
+    def config(self, changes: dict) -> RunConfig:
+        """The base config with ``changes`` set (``with_changes``), parsed."""
+        return parse_config(with_changes(self.base, {"schema": SCHEMA_VERSION, **changes}))
+
+    @property
+    def seeds(self) -> list[int]:
+        """The ``seeds`` axis, else the base config's seed."""
+        return list(self.axes.get("seeds") or [self.config({}).seed])
+
     def cells(self) -> list[tuple[RunConfig, dict]]:
-        """One (config, dotted-axis values) pair per sweep cell: the base
-        with the cell's attack, aggregator and optimizer, the schedule
-        kind ``OPTIMIZER_SCHEDULE`` pairs with the optimizer, and the
-        dotted-axis values applied last. Seed and gamma0 are set per run."""
-        return [
-            (override(self.base, {"attack": atk, "aggregator": agg, "optimizer": opt,
-                                  "schedule.kind": OPTIMIZER_SCHEDULE[opt], **axes}), axes)
-            for atk in self.attacks
-            for agg in self.aggregators
-            for opt in self.optimizers
-            for axes in (dict(zip(self.axes, v)) for v in itertools.product(*self.axes.values()))
-        ]
+        """One (config, path-axis values) pair per sweep cell, one cell per
+        combination of attack, aggregator, optimizer and path-axis values,
+        in that order: the base with the schedule kind
+        ``OPTIMIZER_SCHEDULE`` pairs with the optimizer set, then the
+        cell's values (so a ``schedule.kind`` axis wins). Seed and gamma0
+        are set per run."""
+        keys = [k for k in NAMED_AXES if k in self.axes and k != "seeds"]
+        keys += [k for k in self.axes if k not in NAMED_AXES]
+        cells = []
+        for values in itertools.product(*(self.axes[k] for k in keys)):
+            changes = {NAMED_AXES.get(k, (k,))[0]: v for k, v in zip(keys, values)}
+            optimizer = changes.get("optimizer", self.base.get("optimizer", DEFAULTS["optimizer"]))
+            config = self.config({"schedule.kind": OPTIMIZER_SCHEDULE[optimizer], **changes})
+            cells.append((config, {k: _label(config, k) for k in keys if k not in NAMED_AXES}))
+        return cells
 
 
 @dataclass
@@ -439,7 +447,7 @@ class CellSummary:
 
     @property
     def name(self) -> tuple[str, ...]:
-        """Attack, aggregator, optimizer, then ``path=value`` per dotted axis."""
+        """Attack, aggregator, optimizer, then ``path=value`` per path axis."""
         return (self.attack, self.aggregator, self.optimizer,
                 *(f"{k}={v}" for k, v in self.axes.items()))
 
@@ -480,7 +488,7 @@ class SummaryTable:
     cells: list[CellSummary] = field(default_factory=list)
 
     def cell(self, *name: str) -> CellSummary:
-        """The cell named (attack, aggregator, optimizer, *dotted-axis
+        """The cell named (attack, aggregator, optimizer, *path-axis
         labels), as ``CellSummary.name`` spells it."""
         for c in self.cells:
             if c.name == name:
@@ -492,7 +500,7 @@ class SummaryTable:
 
     def format_table(self) -> str:
         """Mean +/- std of the final gradient norm per cell, in units of
-        1e-6, one row per (attack, aggregator) and dotted-axis values,
+        1e-6, one row per (attack, aggregator) and path-axis values,
         one column per optimizer."""
         rows = sorted(dict.fromkeys((c.name[:2], c.name[3:]) for c in self.cells),
                       key=lambda row: row[0])
@@ -520,14 +528,17 @@ def _run_for_final(config: RunConfig) -> float:
 
 
 def tune_gamma0(
-    make_config,
+    config: dict,
+    changes: dict,
     grid=DEFAULT_TUNING_GRID,
     executor: ProcessPoolExecutor | None = None,
 ) -> tuple[float, dict[float, float]]:
-    """Evaluate each candidate gamma0 with ``make_config(gamma0)`` and
-    return the one minimizing the final gradient norm (ties toward the
-    smaller rate). Diverged candidates score infinity."""
-    configs = [make_config(g) for g in grid]
+    """Run the config dict ``config`` with ``changes`` (a short prefix) and
+    each candidate gamma0 set, and return the gamma0 minimizing the final
+    gradient norm (ties toward the smaller rate). Diverged candidates
+    score infinity."""
+    configs = [parse_config(with_changes(config, {**changes, "schedule.gamma0": g}))
+               for g in grid]
     scores = list((executor.map if executor else map)(_run_for_final, configs))
     table = dict(zip(grid, scores))
     best = min(sorted(grid), key=lambda g: table[g])
@@ -541,24 +552,21 @@ def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTa
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = manifest.cells()
-    prefix = {"seed": manifest.seeds[0], "K": manifest.tuning_prefix,
-              "log_every": manifest.tuning_prefix}
+    seeds = manifest.seeds
+    # config_to_dict writes a theoretical schedule's horizon, which the
+    # tuning prefix's K then leaves at the cell's.
+    cell_dicts = [config_to_dict(cell) for cell, _ in cells]
+    prefix = {"seed": seeds[0], "K": manifest.tuning_prefix, "log_every": manifest.tuning_prefix}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as executor:
-        gamma0s = []
-        for cell, _ in cells:
-            if manifest.tune:
-                best, _ = tune_gamma0(
-                    lambda g, c=cell: override(c, {"schedule.gamma0": g, **prefix}),
-                    grid=manifest.tuning_grid,
-                    executor=executor,
-                )
-            else:
-                best = cell.schedule.gamma0
-            gamma0s.append(best)
+        gamma0s = [
+            tune_gamma0(d, prefix, manifest.tuning_grid, executor)[0] if manifest.tune
+            else cell.schedule.gamma0
+            for (cell, _), d in zip(cells, cell_dicts)
+        ]
         run_configs = [
-            override(cell, {"schedule.gamma0": gamma0, "seed": seed})
-            for (cell, _), gamma0 in zip(cells, gamma0s)
-            for seed in manifest.seeds
+            parse_config(with_changes(d, {"schedule.gamma0": gamma0, "seed": seed}))
+            for d, gamma0 in zip(cell_dicts, gamma0s)
+            for seed in seeds
         ]
         results = list((executor.map if executor else map)(run, run_configs))
 
@@ -575,7 +583,7 @@ def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTa
             axes=axes,
         )
         table.cells.append(summary)
-        for seed in manifest.seeds:
+        for seed in seeds:
             result = next(per_cell)
             value = final_grad_norm(result)
             summary.final_grad_norms.append(None if math.isinf(value) else value)

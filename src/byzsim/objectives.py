@@ -92,8 +92,7 @@ class ObjectiveSpec:
 @dataclass
 class SmoothnessMeta:
     """Constants (L0, L1) declared valid for an objective, possibly
-    conservative, plus the global minimum when known. f_star is None when
-    it has to be obtained numerically."""
+    conservative, plus the global minimum when known (None otherwise)."""
 
     L0: float
     L1: float

@@ -243,25 +243,15 @@ def check_l0l1(
     radius: the segment-supremum smoothness bound (supremum approximated
     on a uniform grid), the exponential-form gradient Lipschitz bound,
     the function-value upper bound, and the gradient-norm lower bound
-    against f - f*. Violations are counted at absolute-plus-relative
-    tolerance ``tol``.
+    against f - f*, so ``meta`` must give f*. Violations are counted at
+    absolute-plus-relative tolerance ``tol``.
     """
     if grid_points < 2:
         raise ConfigError("grid_points must be >= 2")
+    if meta.f_star is None:
+        raise ConfigError("check_l0l1 needs a known minimum f_star")
     rng = rng or RngStream(0, 0)
-    L0, L1 = meta.L0, meta.L1
-    f_star = meta.f_star
-    if f_star is None:
-        from scipy.optimize import minimize
-
-        res = minimize(
-            lambda z: value(spec, z),
-            np.zeros(spec.dim),
-            jac=lambda z: gradient(spec, z),
-            method="BFGS",
-            options={"gtol": 1e-12, "maxiter": 1000},
-        )
-        f_star = float(res.fun)
+    L0, L1, f_star = meta.L0, meta.L1, meta.f_star
 
     violations = 0
     worst_margin = math.inf

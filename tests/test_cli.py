@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import byzsim
+from byzsim import harness
 from byzsim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -100,8 +101,7 @@ def test_misspelled_optimizer_reports_line(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy is imported lazily, by the one check that needs it: a fresh
-    interpreter that imports the CLI has no scipy module loaded."""
+    """A fresh interpreter that imports the CLI has no scipy module loaded."""
     code = "import sys, byzsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
@@ -127,6 +127,22 @@ def test_tune_writes_choice(tmp_path, capsys):
     payload = json.loads((tmp_path / "out" / "tuned.json").read_text())
     assert str(payload["gamma0"]) in payload["scores"]
     assert "tuned gamma0" in capsys.readouterr().out
+
+
+def test_tune_keeps_theoretical_horizon(tmp_path, monkeypatch):
+    """Candidates run on the prefix with the horizon of the full K, which
+    the config leaves for the parser to derive."""
+    horizons = []
+
+    def record(config):
+        horizons.append(config.schedule.horizon)
+        return 1.0
+
+    monkeypatch.setattr(harness, "_run_for_final", record)
+    cfg = write(tmp_path, {**CONFIG, "schedule": {"kind": "theoretical", "gamma0": 0.1}})
+    assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--prefix", "20"]) == 0
+    assert horizons == [CONFIG["K"]] * len(harness.DEFAULT_TUNING_GRID)
 
 
 def test_sweep_smoke(tmp_path, capsys):

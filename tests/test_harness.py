@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -17,10 +18,10 @@ from byzsim.harness import (
     final_grad_norm,
     load_config,
     load_manifest,
-    override,
     parse_config,
     run_sweep,
     tune_gamma0,
+    with_changes,
     write_trajectory_csv,
 )
 from test_golden import GOLDEN, golden_config
@@ -120,11 +121,8 @@ def test_tune_prefers_smaller_rate_on_tie(monkeypatch):
     monkeypatch.setattr(harness_mod, "_run_for_final",
                         lambda cfg: scores[cfg.schedule.gamma0])
 
-    def make(gamma0):
-        return parse_config({**BASE_CONFIG, "K": 5,
-                             "schedule": {"kind": "constant", "gamma0": gamma0}})
-
-    best, table = tune_gamma0(make, grid=(1.0, 0.2, 0.05, 0.01))
+    config = {**BASE_CONFIG, "schedule": {"kind": "constant", "gamma0": 0.1}}
+    best, table = tune_gamma0(config, {"K": 5}, grid=(1.0, 0.2, 0.05, 0.01))
     assert best == 0.05  # smaller rate wins the tie, diverged scores lose
     assert table[1.0] == math.inf
 
@@ -141,7 +139,10 @@ def test_manifest_from_dict():
         },
         "tuning": {"enabled": False},
     })
-    assert len(manifest.attacks) == 2 and manifest.seeds == (1, 2)
+    cells = [cell for cell, _ in manifest.cells()]
+    assert [c.attack.kind for c in cells] == ["none", "alie"]
+    assert {(c.aggregator.name, c.optimizer) for c in cells} == {("gm+nnm", "byz_nsgdm")}
+    assert manifest.seeds == [1, 2]
     assert not manifest.tune
 
 
@@ -202,10 +203,13 @@ def test_sweep_parallel_jobs_identical(tmp_path):
 
 def test_table1_manifest_shape():
     m = load_manifest(CONFIGS / "table1.json")
-    assert len(m.attacks) == 3 and len(m.aggregators) == 3 and len(m.optimizers) == 3
-    assert all(a.nnm for a in m.aggregators)
-    assert m.base.n == 20 and m.base.B == 3 and m.base.K == 3000
-    assert m.seeds == (1, 2, 3) and m.tune and m.tuning_prefix == 1000
+    cells = [cell for cell, _ in m.cells()]
+    assert len(cells) == 27
+    assert len({c.attack.kind for c in cells}) == 3
+    assert len({c.aggregator.rule for c in cells}) == 3 and all(c.aggregator.nnm for c in cells)
+    assert len({c.optimizer for c in cells}) == 3
+    assert {(c.n, c.B, c.K) for c in cells} == {(20, 3, 3000)}
+    assert m.seeds == [1, 2, 3] and m.tune and m.tuning_prefix == 1000
 
 
 def test_manifest_omitted_axes_default_to_base():
@@ -215,9 +219,10 @@ def test_manifest_omitted_axes_default_to_base():
                  "aggregator": {"rule": "gm", "nnm": True}},
         "sweep": {"seeds": [1]},
     })
-    assert [a.kind for a in manifest.attacks] == ["alie"]
-    assert [(g.rule, g.nnm) for g in manifest.aggregators] == [("gm", True)]
-    assert manifest.optimizers == ("byz_nsgdm",)
+    (cell, _), = manifest.cells()
+    assert cell.attack.kind == "alie"
+    assert (cell.aggregator.rule, cell.aggregator.nnm) == ("gm", True)
+    assert cell.optimizer == "byz_nsgdm"
 
 
 def test_unknown_key_rejected_with_file_line(tmp_path):
@@ -274,12 +279,13 @@ def test_shipped_configs_parse():
             load_config(path)
     assert load_config(CONFIGS / "example_run.json").aggregator.rule == "gm"
     ablation = load_manifest(CONFIGS / "ablation.json")
-    assert [len(v) for v in ablation.axes.values()] == [7, 6]
+    assert {k: len(v) for k, v in ablation.axes.items()} == {
+        "seeds": 1, "schedule.momentum_beta": 7, "schedule.gamma0": 6}
     assert len(ablation.cells()) == 42 and not ablation.tune
 
 
 @pytest.mark.parametrize("sweep, tuning, key", [
-    pytest.param({"optimizers": ["byz_nsgmd"]}, {}, "byz_nsgmd", id="unknown-optimizer"),
+    pytest.param({"optimizers": ["byz_nsgmd"]}, {}, "optimizers", id="unknown-optimizer"),
     pytest.param({"schedule.gamma": [0.1]}, {}, "schedule.gamma", id="axis-no-field"),
     pytest.param({"aggregator.n": [10]}, {}, "aggregator.n", id="axis-derived-field"),
     pytest.param({"schedule.gamma0": [0.1]}, {"enabled": True}, "schedule.gamma0",
@@ -289,6 +295,12 @@ def test_shipped_configs_parse():
     pytest.param({"schedule.momentum_beta": [1.5]}, {"enabled": False},
                  "schedule.momentum_beta", id="axis-out-of-range"),
     pytest.param({"seeds": []}, {}, "seeds", id="empty-axis"),
+    # The line is the sweep's "B", not the base's.
+    pytest.param({"B": [1, 3]}, {}, "B", id="B-makes-aggregator-invalid"),
+    pytest.param({"seed": [1, 2]}, {}, "seed", id="path-of-a-named-axis"),
+    # Cells are named by parsed values: 1 and 1.0 are one gamma0.
+    pytest.param({"schedule.gamma0": [1, 1.0]}, {"enabled": False}, "schedule.gamma0",
+                 id="gamma0-int-and-float-one-name"),
     # Cells are named by attack kind and rule: these pairs would share a name.
     pytest.param({"attacks": [{"kind": "alie"}, {"kind": "alie", "alie_z": 3.0}]}, {},
                  "attacks", id="attack-cell-name-collision"),
@@ -299,8 +311,9 @@ def test_bad_sweep_axis_rejected_at_load_with_file_line(tmp_path, sweep, tuning,
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"schema": 1, "base": BASE_CONFIG, "sweep": sweep,
                                 "tuning": tuning}, indent=2))
-    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
-                if f'"{key}"' in row)
+    rows = path.read_text().splitlines()
+    sweep = next(i for i, row in enumerate(rows, 1) if '"sweep"' in row)
+    line = next(i for i, row in enumerate(rows, 1) if f'"{key}"' in row and i > sweep)
     with pytest.raises(ConfigFileError, match=rf"manifest\.json:{line}: .*'{key}'"):
         load_manifest(path)
 
@@ -343,9 +356,51 @@ def test_optimizer_schedule_covers_every_optimizer():
     assert sorted(OPTIMIZER_SCHEDULE) == sorted(names)
 
 
-def test_override_applies_dotted_paths():
-    cfg = parse_config(BASE_CONFIG)
-    new = override(cfg, {"schedule.gamma0": 0.02, "aggregator.nnm": False, "K": 7})
+def test_with_changes_sets_paths_and_leaves_input():
+    d = copy.deepcopy(BASE_CONFIG)
+    new = parse_config(with_changes(d, {"schedule.gamma0": 0.02, "aggregator.nnm": False,
+                                        "K": 7}))
     assert (new.schedule.gamma0, new.aggregator.nnm, new.K) == (0.02, False, 7)
-    assert new.schedule.momentum_beta == cfg.schedule.momentum_beta
-    assert (cfg.schedule.gamma0, cfg.aggregator.nnm, cfg.K) == (0.1, True, 50)
+    assert new.schedule.momentum_beta == BASE_CONFIG["schedule"]["momentum_beta"]
+    assert d == BASE_CONFIG
+
+
+def test_changed_n_and_K_rederive_aggregator_and_horizon():
+    theoretical = {**BASE_CONFIG, "schedule": {"kind": "theoretical", "gamma0": 0.1}}
+    cfg = parse_config(with_changes(theoretical, {"n": 10, "B": 4, "K": 30}))
+    assert (cfg.aggregator.n, cfg.aggregator.B, cfg.schedule.horizon) == (10, 4, 30)
+
+
+def test_B_axis_sets_the_aggregators_B(tmp_path):
+    manifest = ExperimentManifest.from_dict({
+        "schema": 1,
+        "base": {**BASE_CONFIG, "K": 10},
+        "sweep": {"seeds": [1], "B": [1, 2]},
+        "tuning": {"enabled": False},
+    })
+    assert [(cell.B, cell.aggregator.B, axes) for cell, axes in manifest.cells()] == [
+        (1, 1, {"B": 1}), (2, 2, {"B": 2})]
+    run_sweep(manifest, tmp_path / "out")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "bit_flip-cwmed+nnm-byz_nsgdm-B=1", "bit_flip-cwmed+nnm-byz_nsgdm-B=2", "summary.json"]
+
+
+def test_K_axis_sets_the_run_length(tmp_path):
+    manifest = ExperimentManifest.from_dict({
+        "schema": 1,
+        "base": BASE_CONFIG,
+        "sweep": {"seeds": [1], "K": [7, 12]},
+        "tuning": {"enabled": False},
+    })
+    run_sweep(manifest, tmp_path / "out")
+    for K in (7, 12):
+        rows = read_rows(tmp_path / "out" / f"bit_flip-cwmed+nnm-byz_nsgdm-K={K}" / "seed_1.csv")
+        assert int(rows[-1]["k"]) == K
+
+
+@pytest.mark.parametrize("name", ["table1.json", "ablation.json"])
+def test_building_cells_leaves_the_manifest_base_as_read(name):
+    spec = json.loads((CONFIGS / name).read_text())
+    manifest = ExperimentManifest.from_dict(copy.deepcopy(spec))
+    manifest.cells()
+    assert manifest.base == spec["base"]

@@ -141,6 +141,15 @@ def test_exponential_l0l1():
     assert rep.violations == 0
 
 
+def test_l0l1_needs_known_minimum():
+    """The gradient-norm lower bound needs f*; softmax declares none."""
+    spec = ObjectiveSpec(kind="softmax", dim=15, n_classes=3, feature_dim=5, feature_seed=7,
+                         samples_per_worker=20, n_workers=5)
+    assert default_smoothness(spec).f_star is None
+    with pytest.raises(ConfigError, match="needs a known minimum f_star"):
+        check_l0l1(spec, default_smoothness(spec), 10, radius=1.0, rng=RngStream(7, 4))
+
+
 # ---------------------------------------------------------------------------
 # Gradients
 
