@@ -89,6 +89,14 @@ def _as_matrix(vectors) -> np.ndarray:
     return mat
 
 
+def _sq_dists(mat: np.ndarray) -> np.ndarray:
+    """(n, n) squared Euclidean distances from direct differences, which
+    keep their precision when the rows share a large common offset (the
+    expansion |a|^2 + |b|^2 - 2a.b cancels there)."""
+    diff = mat[:, None, :] - mat[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def nnm_transform(vectors, B: int) -> np.ndarray:
     """Replace each vector by the mean of its n - B nearest vectors
     (Euclidean distance, pivot included, ties to the smaller index)."""
@@ -96,10 +104,7 @@ def nnm_transform(vectors, B: int) -> np.ndarray:
     n = mat.shape[0]
     if not 0 <= B < n / 2:
         raise ConfigError(f"need 0 <= B < n/2, got B={B}, n={n}")
-    g = n - B
-    sq = np.sum(mat * mat, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :g]
+    order = np.argsort(_sq_dists(mat), axis=1, kind="stable")[:, :n - B]
     return mat[order].mean(axis=1)
 
 
@@ -113,10 +118,8 @@ def krum(vectors, n: int, B: int) -> np.ndarray:
     m = n - B - 2
     if m < 1:
         raise ConfigError(f"krum needs n - B - 2 >= 1, got n={n}, B={B}")
-    sq = np.sum(mat * mat, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T)
+    d2 = _sq_dists(mat)
     np.fill_diagonal(d2, np.inf)
-    d2 = np.maximum(d2, 0.0)
     part = np.sort(d2, axis=1)[:, :m]
     scores = part.sum(axis=1)
     return mat[int(np.argmin(scores))].copy()

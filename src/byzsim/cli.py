@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``run`` a single config, ``sweep`` a manifest, ``tune`` the
-base step size, and ``verify`` the numerical property suite. The paper's
-benchmark matrix and its momentum x step-size ablation are the sweep
-manifests ``configs/table1.json`` and ``configs/ablation.json``.
+base step size, and ``verify`` the numerical property suite (``BATTERY``).
+The paper's benchmark matrix and its momentum x step-size ablation are
+the sweep manifests ``configs/table1.json`` and ``configs/ablation.json``.
 """
 
 from __future__ import annotations
@@ -13,18 +13,19 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import harness, verify
 from .aggregators import AggregatorSpec, base_kappa
 from .core import ConfigError, RngStream
 from .engine import gamma0_cap, run
-from .objectives import ObjectiveSpec, OracleConfig, default_smoothness
+from .objectives import ObjectiveSpec, default_smoothness, make_shifts
 from .verify import (
     check_descent,
     check_gradient,
     check_l0l1,
     check_robustness,
-    measure_heterogeneity,
+    heterogeneity,
 )
 
 
@@ -99,81 +100,97 @@ def _cmd_tune(args) -> int:
     return 0
 
 
+# The verify battery: one entry per report, in print order. An entry
+# names its report, says what its violation count must be (``VERDICTS``)
+# and makes the report from (seed, trials), drawing from the stream
+# (seed, id). The entries call the checks through this module's names.
+N, B, D = 20, 3, 10
+QUARTIC = ObjectiveSpec(kind="quartic", dim=D)
+# Expectation -> whether a violation count meets it.
+VERDICTS = {
+    "certified": lambda violations: violations == 0,
+    "reported": lambda violations: True,  # no coefficient: the ratio only
+    "teeth": lambda violations: violations >= 1,
+}
+
+
+class Check(NamedTuple):
+    name: str
+    expect: str
+    make: Callable[[int, int], verify.CheckReport]
+
+
+def _robustness(rule: str, expect: str, stream: int, nnm: bool = False) -> Check:
+    spec = AggregatorSpec(rule=rule, n=N, B=B, nnm=nnm)
+    return Check(f"robustness[{spec.name}]", expect, lambda seed, trials: check_robustness(
+        spec, trials, D, RngStream(seed, stream)))
+
+
+def _gradient(spec: ObjectiveSpec) -> Check:
+    return Check(f"gradient[{spec.kind}]", "certified",
+                 lambda seed, trials: check_gradient(spec, 100, rng=RngStream(seed, 5)))
+
+
+def _descent(seed: int, trials: int) -> verify.CheckReport:
+    """Descent along a 400-step gm+NNM run under bit flipping, with the
+    base step within the guarantee cap."""
+    meta = default_smoothness(QUARTIC)
+    K = 400
+    cfg = harness.parse_config({
+        "schema": 1,
+        "objective": {"kind": "quartic", "dim": D},
+        "oracle": {"noise_variance": 1e-5, "shift_variance": 1e-3},
+        "n": N, "B": B,
+        "attack": {"kind": "bit_flip"},
+        "aggregator": {"rule": "gm", "nnm": True},
+        "schedule": {"kind": "constant", "momentum_beta": 0.9,
+                     "gamma0": min(0.01, gamma0_cap(meta.L1, base_kappa("gm", N, B, D), K))},
+        "optimizer": "byz_nsgdm",
+        "K": K, "seed": seed, "x0": "ones", "log_every": 1,
+    })
+    return check_descent(run(cfg, capture_states=True), cfg, meta)
+
+
+BATTERY = (
+    *(_robustness(rule, "certified", 1, nnm) for nnm in (False, True) for rule in ("gm", "cwmed")),
+    _robustness("krum", "reported", 2),
+    _robustness("trimmed_mean", "reported", 2),
+    Check("robustness[mean]", "teeth", lambda seed, trials: check_robustness(
+        AggregatorSpec(rule="mean", n=N, B=B), max(trials // 10, 100), D,
+        RngStream(seed, 3), kappa=1e6)),
+    Check("l0l1[quartic]", "certified", lambda seed, trials: check_l0l1(
+        QUARTIC, default_smoothness(QUARTIC), trials, radius=5.0, rng=RngStream(seed, 4))),
+    *(_gradient(spec) for spec in (
+        QUARTIC,
+        ObjectiveSpec(kind="exponential", dim=3, direction=(0.5, -0.25, 1.0)),
+        ObjectiveSpec(kind="softmax", dim=15, n_classes=3, feature_dim=5,
+                      feature_seed=7, samples_per_worker=20, n_workers=5))),
+    Check("descent", "certified", _descent),
+)
+
+
 def _cmd_verify(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
-    trials = args.trials
-    n, B, d = 20, 3, 10
-    reports = []
     failures = []
-
-    def record(report, asserted=True):
-        reports.append(report)
-        ok = report.violations == 0 if asserted else True
+    for check in BATTERY:
+        report = check.make(args.seed, args.trials)
+        ok = VERDICTS[check.expect](report.violations)
         if not ok:
             failures.append(report.name)
         print(f"{'PASS' if ok else 'FAIL'} {report.name}: "
               f"{report.violations}/{report.instances} violations, "
-              f"worst margin {report.worst_margin:.3g}")
+              f"worst margin {report.worst_margin:.3g} ({check.expect})", flush=True)
+        with open(args.out / f"{report.name.replace('[', '_').strip(']')}.json", "w") as fh:
+            fh.write(report.to_json())
 
-    for nnm in (False, True):
-        for rule in ("gm", "cwmed"):
-            spec = AggregatorSpec(rule=rule, n=n, B=B, nnm=nnm)
-            record(check_robustness(spec, trials, d, RngStream(args.seed, 1)))
-    for rule in ("krum", "trimmed_mean"):
-        spec = AggregatorSpec(rule=rule, n=n, B=B)
-        rep = check_robustness(spec, trials, d, RngStream(args.seed, 2))
-        record(rep, asserted=False)
-
-    mean_spec = AggregatorSpec(rule="mean", n=n, B=B)
-    mean_rep = check_robustness(mean_spec, max(trials // 10, 100), d,
-                                RngStream(args.seed, 3), kappa=1e6)
-    reports.append(mean_rep)
-    if mean_rep.violations == 0:
-        failures.append("mean-sanity")
-        print("FAIL robustness[mean] sanity: fuzzer found no violations for the plain mean")
-    else:
-        print(f"PASS robustness[mean] sanity: {mean_rep.violations} violations found as expected")
-
-    quartic = ObjectiveSpec(kind="quartic", dim=d)
-    record(check_l0l1(quartic, default_smoothness(quartic), trials, radius=5.0,
-                      rng=RngStream(args.seed, 4)))
-
-    exp_spec = ObjectiveSpec(kind="exponential", dim=3, direction=(0.5, -0.25, 1.0))
-    soft_spec = ObjectiveSpec(kind="softmax", dim=15, n_classes=3, feature_dim=5,
-                              feature_seed=7, samples_per_worker=20, n_workers=5)
-    for spec in (quartic, exp_spec, soft_spec):
-        record(check_gradient(spec, 100, rng=RngStream(args.seed, 5)))
-
-    meta = default_smoothness(quartic)
-    kappa = base_kappa("gm", n, B, d)
-    K = 400
-    cfg = harness.parse_config({
-        "schema": 1,
-        "objective": {"kind": "quartic", "dim": d},
-        "oracle": {"noise_variance": 1e-5, "shift_variance": 1e-3},
-        "n": n, "B": B,
-        "attack": {"kind": "bit_flip"},
-        "aggregator": {"rule": "gm", "nnm": True},
-        "schedule": {"kind": "constant", "gamma0": min(0.01, gamma0_cap(meta.L1, kappa, K)),
-                     "momentum_beta": 0.9},
-        "optimizer": "byz_nsgdm",
-        "K": K, "seed": args.seed, "x0": "ones", "log_every": 1,
-    })
-    result = run(cfg, capture_states=True)
-    record(check_descent(result, cfg, meta))
-
-    zeta = measure_heterogeneity(quartic, OracleConfig(shift_variance=1e-3), points=20,
-                                 rng=RngStream(args.seed, 6), G=n - B)
+    zeta = heterogeneity(make_shifts(RngStream(args.seed, 6), N - B, D, 1e-3))
+    kappa = base_kappa("gm", N, B, D)
     print(f"INFO heterogeneity zeta = {zeta:.6g}, bias-floor bound 4*kappa*zeta = "
-          f"{4 * kappa * zeta:.6g} (gm, n={n}, B={B})")
-
-    for rep in reports:
-        with open(args.out / f"{rep.name.replace('[', '_').strip(']')}.json", "w") as fh:
-            fh.write(rep.to_json())
+          f"{4 * kappa * zeta:.6g} (gm, n={N}, B={B})")
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
         return 1
-    print(f"all {len(reports)} checks passed")
+    print(f"all {len(BATTERY)} checks passed")
     return 0
 
 

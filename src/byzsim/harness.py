@@ -23,9 +23,10 @@ sweep key is itself a config path, top-level (``"K"``, ``"B"``) or dotted
 (``"schedule.momentum_beta"``). ``configs/table1.json`` and
 ``configs/ablation.json`` are the paper's benchmark matrix and its
 momentum x step-size ablation. Each axis value is checked at load by
-parsing the base with that one value set, and two entries of one axis
-that would give cells the same name, and so the same output directory,
-are rejected.
+parsing the base with that one value set, then every cell is built, so
+values that are valid alone but not together (an ``n`` and a ``B``) fail
+at load too. Two entries of one axis that would give cells the same
+name, and so the same output directory, are rejected.
 
 Trajectories are CSV with fixed columns
 ``k,grad_norm,f_value,agg_error,step_size`` and floats rendered with 17
@@ -123,10 +124,12 @@ def _key_line(text: str, key: str, start: int = 1) -> int | None:
 
 def _error_line(text: str, message: str) -> int | None:
     """Best effort: the line of the first key the message quotes, else of
-    the first word of the message that is a key in the file. A sweep
-    axis's key is looked for from the ``sweep`` block on, past a base key
-    of the same name (``"B"``)."""
-    start = (message.startswith("sweep axis") and _key_line(text, "sweep")) or 1
+    the first word of the message that is a key in the file, looked for
+    from the section the message names on: from the ``sweep`` block for a
+    sweep axis, past a base key of the same name (``"B"``), and from the
+    ``schedule`` key for ``'kind' in schedule``, past the objective's."""
+    section = re.match(r"(sweep) ax|.*? in (\w+)", message)
+    start = (section and _key_line(text, section[1] or section[2])) or 1
     tokens = re.findall(r"'([^']+)'", message)
     tokens += [t.strip("'\":") for t in message.replace(",", " ").split()]
     for token in tokens:
@@ -389,6 +392,7 @@ class ExperimentManifest:
                                   "the second would overwrite the first's output")
         if self.tune and "schedule.gamma0" in self.axes:
             raise ConfigError("sweep axis 'schedule.gamma0' needs tuning.enabled false")
+        self.cells()  # values that are valid alone may not be together
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentManifest":
@@ -430,7 +434,10 @@ class ExperimentManifest:
         for values in itertools.product(*(self.axes[k] for k in keys)):
             changes = {NAMED_AXES.get(k, (k,))[0]: v for k, v in zip(keys, values)}
             optimizer = changes.get("optimizer", self.base.get("optimizer", DEFAULTS["optimizer"]))
-            config = self.config({"schedule.kind": OPTIMIZER_SCHEDULE[optimizer], **changes})
+            try:
+                config = self.config({"schedule.kind": OPTIMIZER_SCHEDULE[optimizer], **changes})
+            except ConfigError as e:
+                raise ConfigError(f"sweep axes {', '.join(map(repr, keys))} at {values}: {e}") from e
             cells.append((config, {k: _label(config, k) for k in keys if k not in NAMED_AXES}))
         return cells
 

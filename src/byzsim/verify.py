@@ -9,8 +9,15 @@ re-evaluated from captured trajectories with exact values, and analytic
 gradients are compared against central finite differences.
 
 Checks return a :class:`CheckReport` (JSON-serializable) with the number
-of instances, violations, and the worst margin seen; a negative worst
-margin means at least one violation.
+of instances, violations, and the worst margin seen. Every check scores
+its margins the same way (``_Score``): a violation is a negative margin,
+and the worst margin is the smallest one, so a negative worst margin
+means at least one violation.
+
+Heterogeneity needs no sampling. A worker's local gradient is
+grad f(x) + s_i, so grad f_i(x) - grad f(x) = s_i at every x, and the
+heterogeneity zeta = sqrt(mean_i |grad f_i - grad f|^2) is exactly the
+root mean square of the shifts (``heterogeneity``).
 """
 
 from __future__ import annotations
@@ -26,23 +33,14 @@ import numpy as np
 from .aggregators import AggregatorSpec, aggregate, base_kappa, theoretical_kappa
 from .core import ConfigError, RngStream
 from .engine import RunConfig, RunResult, schedule_values
-from .objectives import (
-    ObjectiveSpec,
-    OracleConfig,
-    SmoothnessMeta,
-    default_smoothness,
-    gradient,
-    local_gradient,
-    make_shifts,
-    value,
-)
+from .objectives import ObjectiveSpec, SmoothnessMeta, default_smoothness, gradient, value
 
 __all__ = [
     "CheckReport",
     "check_robustness",
     "check_l0l1",
     "check_descent",
-    "measure_heterogeneity",
+    "heterogeneity",
     "check_gradient",
 ]
 
@@ -64,18 +62,34 @@ class CheckReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
+class _Score:
+    """Violations and worst margin of every margin handed to ``add``: the
+    count of negative margins and their minimum. A check adds its margins
+    as it makes them, so a large fuzz never holds them all at once."""
+
+    def __init__(self):
+        self.violations = 0
+        self.worst = math.inf
+
+    def add(self, margins) -> None:
+        margins = np.asarray(margins, dtype=float)
+        self.violations += int((margins < 0).sum())
+        self.worst = min(self.worst, float(margins.min()))
+
+    def report(self, name: str, instances: int, parameters: dict) -> CheckReport:
+        return CheckReport(name, instances, self.violations, self.worst, parameters)
+
+
+# The robustness fuzz checks every labeling; C(20, 3) = 1140 is the most
+# any caller uses.
+MAX_LABELINGS = 5000
+
+
 @lru_cache(maxsize=32)
 def _byz_subsets(n: int, B: int):
     """All size-B index subsets as an (count, B) int array."""
     combs = list(combinations(range(n), B))
     return np.array(combs, dtype=int).reshape(len(combs), B)
-
-
-def _sample_subsets(n: int, B: int, count: int, true_set: np.ndarray, rng: RngStream):
-    rows = [np.sort(true_set)]
-    for _ in range(count - 1):
-        rows.append(np.sort(rng.choice(n, B)))
-    return np.unique(np.stack(rows), axis=0)
 
 
 def _good_vectors(rng: RngStream, G: int, d: int) -> np.ndarray:
@@ -121,64 +135,48 @@ def check_robustness(
     rng: RngStream,
     kappa: float | None = None,
     tol_rel: float = 1e-9,
-    max_labelings: int = 5000,
 ) -> CheckReport:
     """Fuzz the aggregation bound over adversarial instances.
 
     For each instance the bound is checked against every admissible
-    good-set labeling of size G (sampled when their number exceeds
-    ``max_labelings``). The coefficient used is, in order: the explicit
-    ``kappa`` argument, the rule's closed form (``theoretical_kappa``,
-    given each labeling's leverage constant C for NNM), or nothing, in
-    which case only the empirical worst ratio is recorded and no
-    violation is counted. Tolerance is relative to the larger of the
-    bound and the instance scale.
+    good-set labeling of size G; more than ``MAX_LABELINGS`` of them is
+    an error. The coefficient used is, in order: the explicit ``kappa``
+    argument, the rule's closed form (``theoretical_kappa``, given each
+    labeling's leverage constant C for NNM), or nothing, in which case
+    only the empirical worst ratio is recorded and no violation is
+    counted. Tolerance is relative to the larger of the bound and the
+    instance scale.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     n, B = spec.n, spec.B
+    if math.comb(n, B) > MAX_LABELINGS:
+        raise ConfigError(f"n={n}, B={B} has {math.comb(n, B)} good-set labelings, "
+                          f"more than the {MAX_LABELINGS} the fuzz checks")
     G = n - B
     kappa_base = base_kappa(spec.rule, n, B, d)
     asserted = kappa is not None or kappa_base is not None
+    subs = _byz_subsets(n, B)
+    n_sub = subs.shape[0]
+    byz_mask = np.zeros((n_sub, n), dtype=bool)
+    byz_mask[np.repeat(np.arange(n_sub), B), subs.ravel()] = True
 
-    if math.comb(n, B) <= max_labelings:
-        subsets = _byz_subsets(n, B)
-    else:
-        subsets = None  # sampled per instance
-
-    violations = 0
-    worst_margin = math.inf
+    score = _Score()
     kappa_emp = 0.0
     for _ in range(trials):
         goods = _good_vectors(rng, G, d)
         byz = _byz_vectors(rng, goods, B, d)
         mat = np.empty((n, d))
         byz_pos = np.sort(rng.choice(n, B)) if B > 0 else np.empty(0, dtype=int)
-        good_pos = np.setdiff1d(np.arange(n), byz_pos)
-        mat[good_pos] = goods
-        if B > 0:
-            mat[byz_pos] = byz
+        mat[np.setdiff1d(np.arange(n), byz_pos)] = goods
+        mat[byz_pos] = byz
         agg = aggregate(spec, mat)
 
-        subs = subsets if subsets is not None else _sample_subsets(
-            n, B, max_labelings, byz_pos, rng
-        )
-        n_sub = subs.shape[0]
-        total = mat.sum(axis=0)
-        excluded = mat[subs].sum(axis=1) if B > 0 else np.zeros((n_sub, d))
-        vbar = (total - excluded) / G
+        vbar = (mat.sum(axis=0) - mat[subs].sum(axis=1)) / G
         dist = np.linalg.norm(mat[None, :, :] - vbar[:, None, :], axis=2)
-        if B > 0:
-            excl_dist = np.take_along_axis(dist, subs, axis=1)
-            disp = dist.sum(axis=1) - excl_dist.sum(axis=1)
-            byz_mask = np.zeros((n_sub, n), dtype=bool)
-            byz_mask[np.repeat(np.arange(n_sub), B), subs.ravel()] = True
-            good_max = np.where(byz_mask, -np.inf, dist).max(axis=1)
-        else:
-            disp = dist.sum(axis=1)
-            good_max = dist.max(axis=1)
+        disp = dist.sum(axis=1) - np.take_along_axis(dist, subs, axis=1).sum(axis=1)
+        good_max = np.where(byz_mask, -np.inf, dist).max(axis=1)
         lhs = np.linalg.norm(agg - vbar, axis=1)
-        maxdev = dist.max(axis=1)
 
         positive = disp > 0
         ratios = np.where(positive, lhs * G / np.maximum(disp, 1e-300), 0.0)
@@ -189,17 +187,13 @@ def check_robustness(
         lev_c = np.where(positive, good_max * G / np.maximum(disp, 1e-300), 0.0)
         kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
         rhs = np.where(positive, kap / G * disp, 0.0)
-        tol = tol_rel * np.maximum(np.maximum(rhs, maxdev), 1.0)
-        margins = rhs + tol - lhs
-        violations += int((margins < 0).sum())
-        worst_margin = min(worst_margin, float(margins.min()))
+        tol = tol_rel * np.maximum(np.maximum(rhs, dist.max(axis=1)), 1.0)
+        score.add(rhs + tol - lhs)
 
-    return CheckReport(
-        name=f"robustness[{spec.name}]",
-        instances=trials,
-        violations=violations if asserted else 0,
-        worst_margin=worst_margin if asserted else math.inf,
-        parameters={
+    return score.report(
+        f"robustness[{spec.name}]",
+        trials,
+        {
             "n": n,
             "B": B,
             "d": d,
@@ -253,16 +247,7 @@ def check_l0l1(
     rng = rng or RngStream(0, 0)
     L0, L1, f_star = meta.L0, meta.L1, meta.f_star
 
-    violations = 0
-    worst_margin = math.inf
-
-    def track(lhs: float, rhs: float):
-        nonlocal violations, worst_margin
-        margin = rhs + tol + tol * abs(rhs) - lhs
-        if margin < 0:
-            violations += 1
-        worst_margin = min(worst_margin, margin)
-
+    score = _Score()
     for _ in range(trials):
         x = _uniform_in_ball(rng, spec.dim, radius)
         y = _uniform_in_ball(rng, spec.dim, radius)
@@ -271,19 +256,20 @@ def check_l0l1(
         seg = float(np.linalg.norm(x - y))
         diff = float(np.linalg.norm(gx - gy))
         sup = _sup_grad_norm_on_segment(spec, x, y, grid_points)
-        track(diff, (L0 + L1 * sup) * seg)
-        track(diff, (L0 + L1 * ngy) * math.exp(L1 * seg) * seg)
         fx, fy = value(spec, x), value(spec, y)
         quad = (L0 + L1 * ngx) / 2.0 * math.exp(L1 * seg) * seg * seg
-        track(fy, fx + float(np.dot(gx, y - x)) + quad)
-        track(ngx * ngx / (4.0 * (L0 + L1 * ngx)), fx - f_star)
+        pairs = (  # (lhs, rhs) of each inequality
+            (diff, (L0 + L1 * sup) * seg),
+            (diff, (L0 + L1 * ngy) * math.exp(L1 * seg) * seg),
+            (fy, fx + float(np.dot(gx, y - x)) + quad),
+            (ngx * ngx / (4.0 * (L0 + L1 * ngx)), fx - f_star),
+        )
+        score.add([rhs + tol + tol * abs(rhs) - lhs for lhs, rhs in pairs])
 
-    return CheckReport(
-        name=f"l0l1[{spec.kind}]",
-        instances=trials,
-        violations=violations,
-        worst_margin=worst_margin,
-        parameters={
+    return score.report(
+        f"l0l1[{spec.kind}]",
+        trials,
+        {
             "L0": L0,
             "L1": L1,
             "radius": radius,
@@ -312,8 +298,7 @@ def check_descent(
     meta = meta or default_smoothness(spec)
     L0, L1 = meta.L0, meta.L1
 
-    violations = 0
-    worst_margin = math.inf
+    score = _Score()
     steps = len(result.states) - 1
     for k in range(1, steps + 1):
         x_prev = result.states[k - 1]
@@ -331,48 +316,17 @@ def check_descent(
         )
         lhs = value(spec, x_now)
         scale = max(1.0, abs(f_prev), abs(rhs))
-        margin = rhs + tol_rel * scale - lhs
-        if margin < 0:
-            violations += 1
-        worst_margin = min(worst_margin, margin)
+        score.add(rhs + tol_rel * scale - lhs)
 
-    return CheckReport(
-        name="descent",
-        instances=steps,
-        violations=violations,
-        worst_margin=worst_margin,
-        parameters={"L0": L0, "L1": L1, "tol_rel": tol_rel, "K": steps},
-    )
+    return score.report("descent", steps, {"L0": L0, "L1": L1, "tol_rel": tol_rel, "K": steps})
 
 
-def measure_heterogeneity(
-    spec: ObjectiveSpec,
-    oracle: OracleConfig,
-    points: int,
-    rng: RngStream,
-    G: int | None = None,
-    shifts: np.ndarray | None = None,
-    radius: float = 5.0,
-) -> float:
-    """Empirical heterogeneity bound: the max over sampled points of the
-    root-mean-square deviation of local gradients from the global one.
-
-    Shifts may be passed explicitly, one per row; otherwise G of them are
-    drawn and centered exactly as the engine does.
-    """
-    if points < 1:
-        raise ConfigError("points must be >= 1")
-    if shifts is None:
-        if G is None:
-            raise ConfigError("need either explicit shifts or a worker count G")
-        shifts = make_shifts(rng, G, spec.dim, oracle.shift_variance)
-    worst = 0.0
-    for _ in range(points):
-        x = _uniform_in_ball(rng, spec.dim, radius)
-        g = gradient(spec, x)
-        dev = [float(np.sum((local_gradient(spec, x, s) - g) ** 2)) for s in shifts]
-        worst = max(worst, math.sqrt(sum(dev) / len(dev)))
-    return worst
+def heterogeneity(shifts) -> float:
+    """Heterogeneity zeta of workers with the given (G, d) shifts: the root
+    mean square of the shifts, which is exactly
+    sqrt(mean_i |grad f_i(x) - grad f(x)|^2) at every x."""
+    shifts = np.asarray(shifts, dtype=float)
+    return math.sqrt(float(np.mean(np.sum(shifts * shifts, axis=1))))
 
 
 def check_gradient(
@@ -391,8 +345,7 @@ def check_gradient(
     if h <= 0:
         raise ConfigError("h must be > 0")
     rng = rng or RngStream(0, 0)
-    violations = 0
-    worst_margin = math.inf
+    score = _Score()
     for _ in range(trials):
         x = _uniform_in_ball(rng, spec.dim, radius)
         g = gradient(spec, x)
@@ -402,14 +355,5 @@ def check_gradient(
             e[j] = h
             fd[j] = (value(spec, x + e) - value(spec, x - e)) / (2.0 * h)
         rel = np.abs(fd - g) / np.maximum(1.0, np.abs(g))
-        margin = tol - float(rel.max())
-        if margin < 0:
-            violations += 1
-        worst_margin = min(worst_margin, margin)
-    return CheckReport(
-        name=f"gradient[{spec.kind}]",
-        instances=trials,
-        violations=violations,
-        worst_margin=worst_margin,
-        parameters={"h": h, "tol": tol, "radius": radius},
-    )
+        score.add(tol - float(rel.max()))
+    return score.report(f"gradient[{spec.kind}]", trials, {"h": h, "tol": tol, "radius": radius})

@@ -24,12 +24,8 @@ from byzsim.objectives import (
     SmoothnessMeta,
     default_smoothness,
 )
-from byzsim.verify import (
-    check_descent,
-    check_gradient,
-    check_l0l1,
-    check_robustness,
-)
+from byzsim.cli import BATTERY
+from byzsim.verify import check_descent, check_gradient, check_l0l1, heterogeneity
 
 JOBS = min(4, os.cpu_count() or 1)
 TABLE1 = Path(__file__).resolve().parent.parent / "configs" / "table1.json"
@@ -92,7 +88,9 @@ def test_criterion_1_benchmark_matrix(benchmark_table):
 
 def test_criterion_2_robustness_certification():
     """gm and cwmed (bare and NNM-composed) survive 1e4 adversarial fuzz
-    instances at their closed-form coefficients; the plain mean breaks."""
+    instances at their closed-form coefficients; the plain mean breaks.
+    These are the ``byzsim verify`` battery's entries, run at 1e4 trials:
+    the certified rules draw from stream (2024, 1), the mean from (2024, 3)."""
     n, B, d = 20, 3, 10
     trials = 10_000
     kappa_gm = 2.0 * (1.0 + B / (n - 2 * B))
@@ -100,18 +98,22 @@ def test_criterion_2_robustness_certification():
     assert theoretical_kappa(AggregatorSpec(rule="gm", n=n, B=B), d) == pytest.approx(kappa_gm)
     assert theoretical_kappa(AggregatorSpec(rule="cwmed", n=n, B=B), d) == pytest.approx(kappa_cw)
 
+    entries = {c.name: c for c in BATTERY if c.name.startswith("robustness[")}
     margins = {}
-    for rule in ("gm", "cwmed"):
-        for nnm in (False, True):
-            spec = AggregatorSpec(rule=rule, n=n, B=B, nnm=nnm)
-            rep = check_robustness(spec, trials, d, RngStream(2024, 1), tol_rel=1e-9)
-            assert rep.violations == 0, rep.name
-            assert rep.parameters["kappa_empirical"] <= rep.parameters["kappa_theoretical"]
-            margins[rep.name] = rep.worst_margin
+    for rule in ("gm", "cwmed", "gm+nnm", "cwmed+nnm"):
+        check = entries[f"robustness[{rule}]"]
+        assert check.expect == "certified"
+        rep = check.make(2024, trials)
+        assert (rep.instances, rep.parameters["tol_rel"]) == (trials, 1e-9)
+        assert rep.violations == 0, rep.name
+        assert rep.parameters["kappa_empirical"] <= rep.parameters["kappa_theoretical"]
+        margins[rep.name] = rep.worst_margin
 
-    mean_rep = check_robustness(
-        AggregatorSpec(rule="mean", n=n, B=B), 1000, d, RngStream(2024, 2), kappa=1e6
-    )
+    check = entries["robustness[mean]"]
+    assert check.expect == "teeth"
+    mean_rep = check.make(2024, trials)
+    assert mean_rep.parameters["kappa_theoretical"] == 1e6
+    assert mean_rep.instances == 1000
     assert mean_rep.violations > 0, "fuzzer lost its teeth: plain mean survived"
     print(
         f"\nACCEPTANCE 2 PASS - robustness: 0 violations over {trials} instances "
@@ -197,7 +199,7 @@ def test_criterion_6_bias_floor():
     tail = [r.grad_norm for r in attacked.records if r.k >= 1000]
     floor = min(tail)
     assert floor >= 1e-4  # strictly positive stall, far above the clean run
-    zeta = math.sqrt(float(np.mean([np.dot(s, s) for s in attacked.honest_shifts])))
+    zeta = heterogeneity(attacked.honest_shifts)
     kappa = theoretical_kappa(cfg.aggregator, 10)
     bound = 4 * kappa * zeta
     assert floor <= bound

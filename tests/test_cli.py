@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import byzsim
-from byzsim import harness
+from byzsim import cli, harness
 from byzsim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -199,8 +199,27 @@ def test_verify_battery_smoke(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "all 12 checks passed" in out
-    assert "robustness[mean] sanity" in out
+    assert "PASS robustness[mean]: " in out and "(teeth)" in out
     reports = list((tmp_path / "reports").glob("*.json"))
     assert len(reports) == 12
     payload = json.loads(reports[0].read_text())
     assert {"name", "instances", "violations", "worst_margin"} <= payload.keys()
+    names = {json.loads(p.read_text())["name"] for p in reports}
+    assert names == {check.name for check in cli.BATTERY}
+
+
+def test_verify_streams_its_lines(tmp_path, capsys, monkeypatch):
+    """Each report line is printed when its check returns: the seven
+    robustness lines are out before the smoothness check starts."""
+    seen = []
+    check_l0l1 = cli.check_l0l1
+
+    def recording(*args, **kwargs):
+        seen.append(capsys.readouterr().out)
+        return check_l0l1(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_l0l1", recording)
+    assert main(["verify", "--trials", "20", "--out", str(tmp_path)]) == 0
+    (printed,) = seen
+    lines = [line for line in printed.splitlines() if line.startswith("PASS robustness[")]
+    assert len(lines) == 7

@@ -106,7 +106,7 @@ GOLDEN = {
     "alie:mean": "909cd7846d41cbc2b903ea28fd3182b898597b6f380e0ec6ea7bd6c5a60c6eae",
     "alie:mean+nnm": "cbc532f1cc7c548a0a2c7d1d71c1b2255bcc5952da2d75ac10507f22162768b8",
     "alie:krum": "7c6b7bd5b7cccf1fa69e591bfe5067823627756e45666687b8832c51d4bb688b",
-    "alie:krum+nnm": "68d5ee64710d53fe78c92a63ef5b0547548577c91a1fbc1d3ce8c1024799e64d",
+    "alie:krum+nnm": "177a6504fbfb08bca12f5cde9e81a9b7575cce97534c2a5d895e8d806c60a702",
     "alie:gm": "e2e96855ffa9734e0c374e301fb3677cf6fd7faae5285ffeda545fdfebf72272",
     "alie:gm+nnm": "d91fcda6bd993d4948b9251b8a6b6f7011d6088888832b3a2e910675add8cb17",
     "alie:cwmed": "fbda1638c1afe5a98b4e499d121e55206d2346bace4f3778002ebe0499383211",
@@ -125,7 +125,7 @@ GOLDEN = {
     "bf_gradient_level": "83d7fe033051d845ccca00ef023947c1be4f7b0b4620c41008999207c995d528",
     "b_zero": "3daf40bd5bb64f48a5a5c1a56a1b5635eff3ce0b5f623876d72c67e343a0c972",
     "softmax_label_flip:gm": "d724da66a331a0f6dabbe4e93d08ee86092b3b7e14f93496f6c0acaccf672dba",
-    "softmax_label_flip:krum": "31c64cbdd076974f853044c34b033ae66562207cf8083886ec5261f8fe59bae8",
+    "softmax_label_flip:krum": "85c90e2e19da251ec9e6adb0cc0d420e36617b2f0d07731573cfc658b15082d4",
     "softmax_label_flip:cwmed": "18ef1a80ba270283c31c7229b0d7cd07d537a0ea1fd254625fcbab96c3109773",
     "softmax_labels_table:none": "0397ab528872079e365bdfa10f3014e2a33d389d00b3b4cafc0f47e92d965b99",
     "softmax_labels_table:label_flip": "7ba88c4f64b23864fb9410427174a35f9006a707f3e124ce75ffc06e6a83626a",
@@ -135,7 +135,7 @@ GOLDEN = {
 # configs/table1.json at K=40 (log_every 10), tuning prefix 20, seeds
 # [1, 2]: 3 attacks x 3 NNM rules x 3 optimizers, tuned. sha256 over each
 # output file's relative path, a NUL byte and its bytes, in path order.
-TABLE1_SWEEP = "d7d4fb0f256f4021e3cd327c09cd356f28b2f42f07dd493f03e95fb6fa929b2d"
+TABLE1_SWEEP = "c54a1f358e9917f4f8f6ba0e66c14cf6922e2def961b77cba295ddb123492836"
 # configs/ablation.json at K = log_every = 30, seeds [1, 2]: sha256 of the
 # repr of the list of the 84 final gradient norms, in (momentum_beta,
 # gamma0, seed) order.

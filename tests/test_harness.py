@@ -231,6 +231,13 @@ def test_unknown_key_rejected_with_file_line(tmp_path):
                 if '"optimiser"' in row)
     with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: .*'optimiser'"):
         load_config(path)
+    # A key several sections share is found inside the section named.
+    path = write_config(tmp_path, {"schedule": {"kind": 1}})
+    rows = path.read_text().splitlines()
+    schedule = next(i for i, row in enumerate(rows, 1) if '"schedule"' in row)
+    line = next(i for i, row in enumerate(rows, 1) if '"kind"' in row and i > schedule)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: 'kind' in schedule"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("changes, match", [
@@ -298,6 +305,8 @@ def test_shipped_configs_parse():
     # The line is the sweep's "B", not the base's.
     pytest.param({"B": [1, 3]}, {}, "B", id="B-makes-aggregator-invalid"),
     pytest.param({"seed": [1, 2]}, {}, "seed", id="path-of-a-named-axis"),
+    # Each value is valid alone, with the base's n=6 and B=1; n=3 with B=2 is not.
+    pytest.param({"n": [3, 6], "B": [1, 2]}, {}, "n", id="n-and-B-invalid-together"),
     # Cells are named by parsed values: 1 and 1.0 are one gamma0.
     pytest.param({"schedule.gamma0": [1, 1.0]}, {"enabled": False}, "schedule.gamma0",
                  id="gamma0-int-and-float-one-name"),

@@ -13,13 +13,16 @@ from byzsim.objectives import (
     OracleConfig,
     SmoothnessMeta,
     default_smoothness,
+    gradient,
+    local_gradient,
+    make_shifts,
 )
 from byzsim.verify import (
     check_descent,
     check_gradient,
     check_l0l1,
     check_robustness,
-    measure_heterogeneity,
+    heterogeneity,
 )
 
 QUARTIC = ObjectiveSpec(kind="quartic", dim=10)
@@ -77,6 +80,14 @@ def test_uncertified_rules_report_only():
         assert rep.violations == 0  # nothing asserted
         assert not rep.parameters["asserted"]
         assert rep.parameters["kappa_empirical"] > 0
+
+
+def test_too_many_labelings_rejected_before_any_draw():
+    """C(30, 8) labelings are far past the cap: the check refuses before
+    it draws an instance (the stand-in stream has no methods)."""
+    spec = AggregatorSpec(rule="gm", n=30, B=8)
+    with pytest.raises(ConfigError, match="5852925 good-set labelings"):
+        check_robustness(spec, 10, 4, object())
 
 
 def test_median_ignores_single_huge_outlier():
@@ -238,24 +249,21 @@ def test_descent_requires_capture():
 
 
 def test_heterogeneity_zero_shifts():
-    z = measure_heterogeneity(QUARTIC, OracleConfig(shift_variance=0.0), 5,
-                              RngStream(9, 0), G=4)
-    assert z == 0.0
+    assert heterogeneity(make_shifts(RngStream(9, 0), 4, 10, 0.0)) == 0.0
 
 
 def test_heterogeneity_explicit_shifts():
     s = np.zeros(10)
     s[0] = 1.0
-    z = measure_heterogeneity(QUARTIC, OracleConfig(), 5, RngStream(9, 1),
-                              shifts=[s, -s])
-    assert z == pytest.approx(1.0)
+    assert heterogeneity([s, -s]) == pytest.approx(1.0)
 
 
 def test_heterogeneity_matches_rms_of_shifts():
-    rng = RngStream(9, 2)
-    from byzsim.objectives import make_shifts
-
-    shifts = make_shifts(rng, 8, 10, 1e-3)
-    z = measure_heterogeneity(QUARTIC, OracleConfig(), 7, RngStream(9, 3), shifts=shifts)
-    expected = math.sqrt(float(np.mean([np.dot(s, s) for s in shifts])))
-    assert z == pytest.approx(expected, rel=1e-12)
+    """The RMS of the shifts is the heterogeneity of the local gradients
+    at any point: grad f_i - grad f = s_i everywhere."""
+    shifts = make_shifts(RngStream(9, 2), 8, 10, 1e-3)
+    rng = np.random.default_rng(3)
+    for x in rng.normal(size=(7, 10)) * 2.0:
+        g = gradient(QUARTIC, x)
+        dev = [np.sum((local_gradient(QUARTIC, x, s) - g) ** 2) for s in shifts]
+        assert math.sqrt(np.mean(dev)) == pytest.approx(heterogeneity(shifts), rel=1e-12)
