@@ -1,11 +1,15 @@
 """Robust aggregation rules and nearest-neighbor mixing.
 
 All rules take the n worker vectors as a (n, d) array (or a list of 1-D
-arrays) and return a single d-vector. ``aggregate`` dispatches on an
-:class:`AggregatorSpec` and optionally applies nearest-neighbor mixing
-(NNM) first: each input is replaced by the mean of its G = n - B nearest
-inputs (itself included), which contracts heterogeneity before the robust
-rule runs.
+arrays) and return a single d-vector. Every rule also takes a block of T
+such inputs as one (T, n, d) array and returns the (T, d) results, each
+row bit for bit what the rule returns for that (n, d) matrix alone: the
+rules work along the last two axes, and the batched Weiszfeld iteration
+drops a row from its passes once that row has converged. ``aggregate``
+dispatches on an :class:`AggregatorSpec` and optionally applies
+nearest-neighbor mixing (NNM) first: each input is replaced by the mean
+of its G = n - B nearest inputs (itself included), which contracts
+heterogeneity before the robust rule runs.
 
 ``theoretical_kappa`` exposes the closed-form robustness coefficients
 where they exist: geometric median and coordinate-wise median have
@@ -83,29 +87,39 @@ class AggregatorSpec:
 
 
 def _as_matrix(vectors) -> np.ndarray:
+    """The input as an (n, d) matrix, or a (T, n, d) block of them."""
     mat = np.asarray(vectors, dtype=float)
-    if mat.ndim != 2:
-        raise ConfigError(f"expected a list of equal-length vectors, got shape {mat.shape}")
+    if mat.ndim not in (2, 3):
+        raise ConfigError("expected a list of equal-length vectors or a (T, n, d) block, "
+                          f"got shape {mat.shape}")
     return mat
 
 
+def _take_rows(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of an (n, d) matrix, or rows ``idx[t, ...]`` of each
+    matrix t of a (T, n, d) block, as one gather from the stacked rows."""
+    if mat.ndim == 3:
+        idx = idx + mat.shape[1] * np.arange(len(mat)).reshape(-1, *[1] * (idx.ndim - 1))
+    return mat.reshape(-1, mat.shape[-1]).take(idx, axis=0)
+
+
 def _sq_dists(mat: np.ndarray) -> np.ndarray:
-    """(n, n) squared Euclidean distances from direct differences, which
-    keep their precision when the rows share a large common offset (the
-    expansion |a|^2 + |b|^2 - 2a.b cancels there)."""
-    diff = mat[:, None, :] - mat[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """(..., n, n) squared Euclidean distances from direct differences,
+    which keep their precision when the rows share a large common offset
+    (the expansion |a|^2 + |b|^2 - 2a.b cancels there)."""
+    diff = mat[..., :, None, :] - mat[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def nnm_transform(vectors, B: int) -> np.ndarray:
     """Replace each vector by the mean of its n - B nearest vectors
     (Euclidean distance, pivot included, ties to the smaller index)."""
     mat = _as_matrix(vectors)
-    n = mat.shape[0]
+    n = mat.shape[-2]
     if not 0 <= B < n / 2:
         raise ConfigError(f"need 0 <= B < n/2, got B={B}, n={n}")
-    order = np.argsort(_sq_dists(mat), axis=1, kind="stable")[:, :n - B]
-    return mat[order].mean(axis=1)
+    order = np.argsort(_sq_dists(mat), axis=-1, kind="stable")[..., :n - B]
+    return _take_rows(mat, order).mean(axis=-2)
 
 
 def krum(vectors, n: int, B: int) -> np.ndarray:
@@ -113,20 +127,27 @@ def krum(vectors, n: int, B: int) -> np.ndarray:
     n - B - 2 nearest other vectors is smallest (ties to the smaller
     index)."""
     mat = _as_matrix(vectors)
-    if mat.shape[0] != n:
-        raise ConfigError(f"expected {n} vectors, got {mat.shape[0]}")
+    if mat.shape[-2] != n:
+        raise ConfigError(f"expected {n} vectors, got {mat.shape[-2]}")
     m = n - B - 2
     if m < 1:
         raise ConfigError(f"krum needs n - B - 2 >= 1, got n={n}, B={B}")
     d2 = _sq_dists(mat)
-    np.fill_diagonal(d2, np.inf)
-    part = np.sort(d2, axis=1)[:, :m]
-    scores = part.sum(axis=1)
-    return mat[int(np.argmin(scores))].copy()
+    diagonal = np.arange(n)
+    d2[..., diagonal, diagonal] = np.inf
+    scores = np.sort(d2, axis=-1)[..., :m].sum(axis=-1)
+    return _take_rows(mat, np.argmin(scores, axis=-1))
 
 
-def _gm_objective(y: np.ndarray, mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat - y, axis=1).sum())
+def _gm_objective(y: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(mat - y[..., None, :], axis=-1).sum(axis=-1)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, summed as
+    ``np.linalg.norm(x, axis=-1)`` sums them, without its argument
+    handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def geometric_median(
@@ -141,58 +162,80 @@ def geometric_median(
     Starts at the coordinate-wise mean and reweights by 1/max(nu, dist)
     until the iterate moves by at most tol or max_iters is hit. The
     returned point never has a larger distance sum than the mean.
+
+    A (T, n, d) block iterates its rows together, and a row that has
+    converged leaves the passes that follow, so each row takes exactly
+    the passes it takes alone. Its history holds the (T, d) iterates
+    after each pass, converged rows at their final value: one entry more
+    than the most passes a row took.
     """
     mat = _as_matrix(vectors)
     if nu <= 0:
         raise ConfigError("nu must be > 0")
-    y = mat.mean(axis=0)
-    history = [y]
+    mean = mat.mean(axis=-2)
+    out = mean.copy()
+    live = slice(None)  # the rows of a block still iterating
+    rows, y = mat, mean  # their inputs and iterates
+    history = [mean]
     for _ in range(max_iters):
-        dist = np.linalg.norm(mat - y, axis=1)
-        w = 1.0 / np.maximum(dist, nu)
-        y_next = (w[:, None] * mat).sum(axis=0) / w.sum()
-        moved = float(np.linalg.norm(y_next - y))
+        w = 1.0 / np.maximum(_norms(rows - y[..., None, :]), nu)
+        y_next = (w[..., None] * rows).sum(axis=-2) / w.sum(axis=-1)[..., None]
+        step = y_next - y
+        # vecdot is the dot product np.linalg.norm takes of one vector.
+        stop = np.sqrt(np.vecdot(step, step)) <= tol
         y = y_next
         if return_history:
-            history.append(y)
-        if moved <= tol:
+            frame = y
+            if not isinstance(live, slice):  # rows that stopped keep their value
+                frame = out.copy()
+                frame[live] = y
+            history.append(frame)
+        if stop.ndim == 0:  # one matrix, one flag
+            if stop:
+                break
+        elif stop.all():
             break
+        elif stop.any():
+            live = np.arange(len(out))[live]
+            out[live[stop]] = y[stop]
+            live, rows, y = live[~stop], rows[~stop], y[~stop]
+    out[live] = y
     # Guards the contract against smoothing stalls near degenerate inputs.
-    if _gm_objective(y, mat) > _gm_objective(mat.mean(axis=0), mat):
-        y = mat.mean(axis=0)
+    np.copyto(out, mean, where=(_gm_objective(out, mat) > _gm_objective(mean, mat))[..., None])
     if return_history:
-        return y, history
-    return y
+        return out, history
+    return out
 
 
 def coordinate_median(vectors) -> np.ndarray:
     """Per-coordinate median; even counts average the two middle order
     statistics."""
-    return np.median(_as_matrix(vectors), axis=0)
+    return np.median(_as_matrix(vectors), axis=-2)
 
 
 def trimmed_mean(vectors, trim_b: int) -> np.ndarray:
     """Per coordinate, drop the trim_b smallest and trim_b largest values
     and average the rest."""
     mat = _as_matrix(vectors)
-    n = mat.shape[0]
+    n = mat.shape[-2]
     if not 0 <= trim_b < n / 2:
         raise ConfigError(f"need 0 <= trim_b < n/2, got trim_b={trim_b}, n={n}")
     if trim_b == 0:
-        return mat.mean(axis=0)
-    return np.sort(mat, axis=0)[trim_b : n - trim_b].mean(axis=0)
+        return mat.mean(axis=-2)
+    return np.sort(mat, axis=-2)[..., trim_b : n - trim_b, :].mean(axis=-2)
 
 
 def aggregate(spec: AggregatorSpec, vectors) -> np.ndarray:
     """Run the configured rule (after NNM when enabled) on exactly n
-    vectors of common dimension."""
+    vectors of common dimension, or on each (n, d) matrix of a (T, n, d)
+    block."""
     mat = _as_matrix(vectors)
-    if mat.shape[0] != spec.n:
-        raise ConfigError(f"expected {spec.n} vectors, got {mat.shape[0]}")
+    if mat.shape[-2] != spec.n:
+        raise ConfigError(f"expected {spec.n} vectors, got {mat.shape[-2]}")
     if spec.nnm:
         mat = nnm_transform(mat, spec.B)
     if spec.rule == "mean":
-        return mat.mean(axis=0)
+        return mat.mean(axis=-2)
     if spec.rule == "krum":
         return krum(mat, spec.n, spec.B)
     if spec.rule == "gm":

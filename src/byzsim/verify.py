@@ -10,9 +10,19 @@ gradients are compared against central finite differences.
 
 Checks return a :class:`CheckReport` (JSON-serializable) with the number
 of instances, violations, and the worst margin seen. Every check scores
-its margins the same way (``_Score``): a violation is a negative margin,
-and the worst margin is the smallest one, so a negative worst margin
-means at least one violation.
+its margins the same way (``_Score``): a violation is a margin that is
+negative or NaN, and the worst margin is the smallest one (NaN once any
+margin is NaN), so a negative or NaN worst margin means at least one
+violation.
+
+The robustness fuzz draws its instances ``FUZZ_BLOCK`` at a time, in the
+order one at a time would draw them, and aggregates each block with one
+call on its (T, n, d) array: every rule takes that leading batch axis
+and gives each instance the bits it gets alone. It then scores each
+instance's C(n, B) labelings in (n, labelings) buffers allocated once per
+check, one coordinate at a time, adding the squared coordinates in the
+order numpy's pairwise summation adds them, so every score equals the one
+the (labelings, n, d) difference tensor gives, without that tensor.
 
 Heterogeneity needs no sampling. A worker's local gradient is
 grad f(x) + s_i, so grad f_i(x) - grad f(x) = s_i at every x, and the
@@ -64,8 +74,9 @@ class CheckReport:
 
 class _Score:
     """Violations and worst margin of every margin handed to ``add``: the
-    count of negative margins and their minimum. A check adds its margins
-    as it makes them, so a large fuzz never holds them all at once."""
+    count of margins that are negative or NaN, and their minimum (NaN once
+    any margin is NaN). A check adds its margins as it makes them, so a
+    large fuzz never holds them all at once."""
 
     def __init__(self):
         self.violations = 0
@@ -73,8 +84,9 @@ class _Score:
 
     def add(self, margins) -> None:
         margins = np.asarray(margins, dtype=float)
-        self.violations += int((margins < 0).sum())
-        self.worst = min(self.worst, float(margins.min()))
+        # NaN fails ``>= 0`` and wins np.minimum; ``< 0`` and min() let it pass.
+        self.violations += int(np.count_nonzero(~(margins >= 0)))
+        self.worst = float(np.minimum(self.worst, margins.min()))
 
     def report(self, name: str, instances: int, parameters: dict) -> CheckReport:
         return CheckReport(name, instances, self.violations, self.worst, parameters)
@@ -83,13 +95,20 @@ class _Score:
 # The robustness fuzz checks every labeling; C(20, 3) = 1140 is the most
 # any caller uses.
 MAX_LABELINGS = 5000
+# Fuzz instances drawn and aggregated at once. A block's largest
+# temporary is the NNM difference tensor, FUZZ_BLOCK x n x n x d floats:
+# 1.6 MB at n=20, d=10, as much as the labeling buffers of ``_Labelings``.
+FUZZ_BLOCK = 50
 
 
 @lru_cache(maxsize=32)
-def _byz_subsets(n: int, B: int):
-    """All size-B index subsets as an (count, B) int array."""
+def _byz_subsets(n: int, B: int) -> np.ndarray:
+    """All size-B index subsets as a (count, B) int array. Every caller
+    shares it, so it is read-only."""
     combs = list(combinations(range(n), B))
-    return np.array(combs, dtype=int).reshape(len(combs), B)
+    subs = np.array(combs, dtype=int).reshape(len(combs), B)
+    subs.flags.writeable = False
+    return subs
 
 
 def _good_vectors(rng: RngStream, G: int, d: int) -> np.ndarray:
@@ -128,6 +147,94 @@ def _byz_vectors(rng: RngStream, goods: np.ndarray, B: int, d: int) -> np.ndarra
     return rng.normal(B * d).reshape(B, d) * np.abs(goods - vbar).max()
 
 
+def _instance(rng: RngStream, n: int, B: int, d: int) -> np.ndarray:
+    """One adversarial (n, d) instance: good rows, Byzantine rows and the
+    Byzantine positions, drawn in that order."""
+    goods = _good_vectors(rng, n - B, d)
+    byz = _byz_vectors(rng, goods, B, d)
+    good = np.ones(n, dtype=bool)
+    if B > 0:
+        good[rng.choice(n, B)] = False
+    mat = np.empty((n, d))
+    mat[good] = goods
+    mat[~good] = byz
+    return mat
+
+
+def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Sum of the arrays ``term(k, out)`` for k in [lo, hi) into acc[0],
+    added in the order numpy's pairwise summation adds a contiguous axis
+    of that length: a plain loop below 8 terms; up to 128 terms, eight
+    interleaved partial sums combined as a tree, then the tail; above
+    that, the two halves (split at a multiple of 8) summed alike. ``term``
+    writes term k into ``out`` and returns it; acc holds 8 buffers when
+    there are 8 terms or more."""
+    count = hi - lo
+    if count < 8:
+        term(lo, acc[0])
+        for k in range(lo + 1, hi):
+            acc[0] += term(k, tmp)
+    elif count <= 128:
+        for j in range(8):
+            term(lo + j, acc[j])
+        tail = hi - count % 8
+        for k in range(lo + 8, tail):
+            acc[(k - lo) % 8] += term(k, tmp)
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            acc[a] += acc[b]
+        for k in range(tail, hi):
+            acc[0] += term(k, tmp)
+    else:
+        half = count // 2
+        half -= half % 8
+        _pairwise_sum(term, lo, lo + half, acc, tmp)
+        acc[0] += _pairwise_sum(term, lo + half, hi, np.empty_like(acc), tmp)
+    return acc[0]
+
+
+class _Labelings:
+    """Every good-set labeling of an (n, d) instance, scored in (n,
+    labelings) buffers allocated once per check, one coordinate at a time.
+
+    The distance of row i to the good mean of labeling s adds its squared
+    coordinates in the order ``np.linalg.norm(..., axis=-1)`` adds them
+    (``_pairwise_sum``), so every score equals the one taken from the
+    (labelings, n, d) difference tensor, bit for bit, without that tensor.
+    """
+
+    def __init__(self, n: int, B: int, d: int):
+        self.subs = _byz_subsets(n, B)
+        S = len(self.subs)
+        # Flat indices of each labeling's Byzantine rows into an (S, n)
+        # array and into an (n, S) array.
+        self.byz_by_labeling = self.subs + n * np.arange(S)[:, None]
+        self.byz_by_row = self.subs.T * S + np.arange(S)
+        self.acc = np.empty((1 if d < 8 else 8, n, S))
+        self.tmp = np.empty((n, S))
+
+    def score(self, mat: np.ndarray, agg: np.ndarray):
+        """Per labeling: the good dispersion, the largest good distance,
+        the largest distance over all rows, and |agg - good mean|."""
+        subs = self.subs
+        G = len(mat) - subs.shape[1]
+        vbar = (mat.sum(axis=0) - mat.take(subs.T, axis=0).sum(axis=0)) / G
+        mat_t, vbar_t = mat.T, np.ascontiguousarray(vbar.T)
+
+        def square(k, out):
+            np.copyto(out, vbar_t[k])
+            np.subtract(mat_t[k][:, None], out, out=out)
+            return np.multiply(out, out, out=out)
+
+        dist = np.sqrt(_pairwise_sum(square, 0, mat.shape[1], self.acc, self.tmp),
+                       out=self.acc[0])
+        by_labeling = np.ascontiguousarray(dist.T)
+        disp = by_labeling.sum(axis=1) - by_labeling.take(self.byz_by_labeling).sum(axis=1)
+        np.copyto(self.tmp, dist)
+        np.put(self.tmp, self.byz_by_row, -np.inf)
+        lhs = np.linalg.norm(agg - vbar, axis=1)
+        return disp, self.tmp.max(axis=0), dist.max(axis=0), lhs
+
+
 def check_robustness(
     spec: AggregatorSpec,
     trials: int,
@@ -146,6 +253,11 @@ def check_robustness(
     only the empirical worst ratio is recorded and no violation is
     counted. Tolerance is relative to the larger of the bound and the
     instance scale.
+
+    Instances are drawn ``FUZZ_BLOCK`` at a time, in the order one at a
+    time would draw them, and each block is aggregated by one call on
+    its (T, n, d) array; the rules give each instance the bits it gets
+    alone.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -156,39 +268,27 @@ def check_robustness(
     G = n - B
     kappa_base = base_kappa(spec.rule, n, B, d)
     asserted = kappa is not None or kappa_base is not None
-    subs = _byz_subsets(n, B)
-    n_sub = subs.shape[0]
-    byz_mask = np.zeros((n_sub, n), dtype=bool)
-    byz_mask[np.repeat(np.arange(n_sub), B), subs.ravel()] = True
+    labelings = _Labelings(n, B, d)
 
     score = _Score()
     kappa_emp = 0.0
-    for _ in range(trials):
-        goods = _good_vectors(rng, G, d)
-        byz = _byz_vectors(rng, goods, B, d)
-        mat = np.empty((n, d))
-        byz_pos = np.sort(rng.choice(n, B)) if B > 0 else np.empty(0, dtype=int)
-        mat[np.setdiff1d(np.arange(n), byz_pos)] = goods
-        mat[byz_pos] = byz
-        agg = aggregate(spec, mat)
+    for start in range(0, trials, FUZZ_BLOCK):
+        mats = np.stack([_instance(rng, n, B, d)
+                         for _ in range(min(FUZZ_BLOCK, trials - start))])
+        for mat, agg in zip(mats, aggregate(spec, mats)):
+            disp, good_max, dist_max, lhs = labelings.score(mat, agg)
 
-        vbar = (mat.sum(axis=0) - mat[subs].sum(axis=1)) / G
-        dist = np.linalg.norm(mat[None, :, :] - vbar[:, None, :], axis=2)
-        disp = dist.sum(axis=1) - np.take_along_axis(dist, subs, axis=1).sum(axis=1)
-        good_max = np.where(byz_mask, -np.inf, dist).max(axis=1)
-        lhs = np.linalg.norm(agg - vbar, axis=1)
+            positive = disp > 0
+            ratios = np.where(positive, lhs * G / np.maximum(disp, 1e-300), 0.0)
+            kappa_emp = max(kappa_emp, float(ratios.max()))
 
-        positive = disp > 0
-        ratios = np.where(positive, lhs * G / np.maximum(disp, 1e-300), 0.0)
-        kappa_emp = max(kappa_emp, float(ratios.max()))
-
-        if not asserted:
-            continue
-        lev_c = np.where(positive, good_max * G / np.maximum(disp, 1e-300), 0.0)
-        kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
-        rhs = np.where(positive, kap / G * disp, 0.0)
-        tol = tol_rel * np.maximum(np.maximum(rhs, dist.max(axis=1)), 1.0)
-        score.add(rhs + tol - lhs)
+            if not asserted:
+                continue
+            lev_c = np.where(positive, good_max * G / np.maximum(disp, 1e-300), 0.0)
+            kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
+            rhs = np.where(positive, kap / G * disp, 0.0)
+            tol = tol_rel * np.maximum(np.maximum(rhs, dist_max), 1.0)
+            score.add(rhs + tol - lhs)
 
     return score.report(
         f"robustness[{spec.name}]",

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -286,6 +286,89 @@ def test_translation_equivariance(spec):
     np.testing.assert_allclose(
         aggregate(spec, mat + t), aggregate(spec, mat) + t, rtol=1e-9, atol=1e-8
     )
+
+
+# ---------------------------------------------------------------------------
+# Blocks: a (T, n, d) array gives each matrix the bits it gets alone
+
+RULES = ("mean", "krum", "gm", "cwmed", "trimmed_mean")
+
+
+def stacked(spec, mats):
+    return np.stack([aggregate(spec, m) for m in mats])
+
+
+@st.composite
+def blocks(draw):
+    """A (T, n, d) block whose matrices sit at scales from 1e-8 to 1e4, so
+    their Weiszfeld iterations stop after different pass counts."""
+    T, n, d = draw(st.integers(1, 4)), draw(st.integers(3, 9)), draw(st.integers(1, 4))
+    mats = draw(hnp.arrays(np.float64, (T, n, d),
+                           elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    scales = draw(hnp.arrays(np.float64, (T, 1, 1),
+                             elements=st.sampled_from([1e-8, 1e-3, 1.0, 1e4])))
+    return mats * scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks(), st.sampled_from(RULES), st.booleans(), st.data())
+def test_block_equals_each_matrix_alone(mats, rule, nnm, data):
+    n = mats.shape[1]
+    B = data.draw(st.integers(0, (n - 1) // 2))
+    assume(rule != "krum" or n - B - 2 >= 1)
+    spec = AggregatorSpec(rule=rule, n=n, B=B, nnm=nnm)
+    assert np.array_equal(aggregate(spec, mats), stacked(spec, mats))
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("nnm", [False, True])
+def test_block_of_one(rule, nnm):
+    mat = np.random.default_rng(11).normal(size=(7, 3))
+    spec = AggregatorSpec(rule=rule, n=7, B=2, nnm=nnm)
+    got = aggregate(spec, mat[None])
+    assert got.shape == (1, 3)
+    assert np.array_equal(got[0], aggregate(spec, mat))
+
+
+def test_gm_block_rows_stop_at_their_own_pass_counts():
+    """Rows that converge after different pass counts leave the block's
+    passes one by one; each keeps the iterate it stopped at, and the
+    block's history is as long as its slowest row's."""
+    rng = np.random.default_rng(12)
+    mats = rng.normal(size=(4, 9, 3)) * np.array([1e-6, 1.0, 1e3, 1e6])[:, None, None]
+    alone = [geometric_median(m, return_history=True) for m in mats]
+    passes = [len(history) - 1 for _, history in alone]
+    assert len(set(passes)) >= 3, passes
+    got, history = geometric_median(mats, return_history=True)
+    assert np.array_equal(got, np.stack([y for y, _ in alone]))
+    assert len(history) == max(passes) + 1
+    for row, (y, row_history) in enumerate(alone):
+        for k, frame in enumerate(history):
+            assert np.array_equal(frame[row], row_history[min(k, passes[row])])
+
+
+def test_gm_block_row_falls_back_to_mean():
+    """A cluster narrower than the smoothing nu stalls: its one pass lands
+    an ulp off the mean with a larger distance sum, and the guard returns
+    the mean. In a block, that row alone falls back."""
+    rng = np.random.default_rng(0)
+    stalled = rng.normal(size=(5, 2)) * 1e-9 + rng.normal(size=2)
+    y, history = geometric_median(stalled, return_history=True)
+    assert np.array_equal(y, stalled.mean(axis=0))
+    assert not np.array_equal(history[-1], y)
+    mats = np.stack([rng.normal(size=(5, 2)), stalled, rng.normal(size=(5, 2)) * 1e3])
+    got = geometric_median(mats)
+    assert np.array_equal(got, np.stack([geometric_median(m) for m in mats]))
+    assert not np.array_equal(got[0], mats[0].mean(axis=0))
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_block_worker_count_checked_on_axis_minus_two(rule):
+    spec = AggregatorSpec(rule=rule, n=7, B=2)
+    with pytest.raises(ConfigError, match="expected 7 vectors, got 8"):
+        aggregate(spec, np.zeros((3, 8, 7)))
+    with pytest.raises(ConfigError, match=r"or a \(T, n, d\) block, got shape \(2, 3, 7, 1\)"):
+        aggregate(spec, np.zeros((2, 3, 7, 1)))
 
 
 # ---------------------------------------------------------------------------

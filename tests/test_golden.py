@@ -4,10 +4,12 @@ Each config below is run and its trajectory CSV, exactly as
 ``write_trajectory_csv`` writes it, is hashed with sha256. Two more pins
 cover the sweep path: every output file of a shortened
 ``configs/table1.json`` sweep, and the final gradient norms of a
-shortened ``configs/ablation.json``. A change to the engine, the oracle,
-the attacks, the rules or the sweep cells that alters one output bit
-fails here; a change that means to alter bits must say so and re-pin.
-Every run is short (K <= 150), so the module takes seconds.
+shortened ``configs/ablation.json``. One more covers the 12 reports of
+``byzsim verify --trials 150 --seed 1``. A change to the engine, the
+oracle, the attacks, the rules, the sweep cells or the verify checks that
+alters one output bit fails here; a change that means to alter bits must
+say so and re-pin. Every run is short (K <= 150), so the module takes
+seconds.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from byzsim.aggregators import aggregate
+from byzsim.cli import main
 from byzsim.core import SHIFT_STREAM, RngStream
 from byzsim.engine import run, schedule_values
 from byzsim.harness import ExperimentManifest, parse_config, run_sweep, write_trajectory_csv
@@ -140,6 +143,17 @@ TABLE1_SWEEP = "c54a1f358e9917f4f8f6ba0e66c14cf6922e2def961b77cba295ddb123492836
 # repr of the list of the 84 final gradient norms, in (momentum_beta,
 # gamma0, seed) order.
 ABLATION_FINALS = "f0a48a367e205df74dedc1e42b9fa3a972ddf862152f5f74cf8fdf7b1b789a56"
+# byzsim verify --trials 150 --seed 1: tree_sha256 of its 12 reports.
+VERIFY_REPORTS = "6f0227c4135048af6e2d0dba83b5102b4fde63df4e7e61e93afc2c0662b8478d"
+
+
+def tree_sha256(root) -> str:
+    """sha256 over each file's path under root, a NUL byte and its bytes,
+    in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.*")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def shortened(name: str, base: dict, sweep: dict, tuning: dict) -> ExperimentManifest:
@@ -167,10 +181,7 @@ def test_table1_sweep_bytes_pinned(tmp_path):
     manifest = shortened("table1.json", {"K": 40, "log_every": 10}, {"seeds": [1, 2]},
                          {"prefix_iters": 20})
     run_sweep(manifest, tmp_path)
-    digest = hashlib.sha256()
-    for path in sorted(tmp_path.rglob("*.*")):
-        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == TABLE1_SWEEP
+    assert tree_sha256(tmp_path) == TABLE1_SWEEP
 
 
 def test_ablation_finals_pinned(tmp_path):
@@ -178,6 +189,12 @@ def test_ablation_finals_pinned(tmp_path):
     finals = [v for cell in run_sweep(manifest, tmp_path).cells for v in cell.final_grad_norms]
     assert len(finals) == 84
     assert hashlib.sha256(repr(finals).encode()).hexdigest() == ABLATION_FINALS
+
+
+def test_verify_report_bytes_pinned(tmp_path, capsys):
+    assert main(["verify", "--trials", "150", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.json"))) == 12
+    assert tree_sha256(tmp_path) == VERIFY_REPORTS
 
 
 def test_first_aggregate_matches_reference_oracle():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from byzsim.aggregators import AggregatorSpec, aggregate, theoretical_kappa
+from byzsim.aggregators import AggregatorSpec, aggregate, base_kappa, theoretical_kappa
 from byzsim.attacks import AttackSpec
 from byzsim.core import ConfigError, RngStream
 from byzsim.engine import RunConfig, Schedule, gamma0_cap, run
@@ -18,6 +18,11 @@ from byzsim.objectives import (
     make_shifts,
 )
 from byzsim.verify import (
+    FUZZ_BLOCK,
+    _byz_subsets,
+    _byz_vectors,
+    _good_vectors,
+    _Score,
     check_descent,
     check_gradient,
     check_l0l1,
@@ -88,6 +93,82 @@ def test_too_many_labelings_rejected_before_any_draw():
     spec = AggregatorSpec(rule="gm", n=30, B=8)
     with pytest.raises(ConfigError, match="5852925 good-set labelings"):
         check_robustness(spec, 10, 4, object())
+
+
+def reference_check_robustness(spec, trials, d, rng, kappa=None, tol_rel=1e-9):
+    """The fuzz one instance at a time, scoring the labelings from the
+    whole (labelings, n, d) difference tensor: the loop that
+    ``check_robustness`` blocks."""
+    n, B = spec.n, spec.B
+    G = n - B
+    kappa_base = base_kappa(spec.rule, n, B, d)
+    asserted = kappa is not None or kappa_base is not None
+    subs = _byz_subsets(n, B)
+    byz_mask = np.zeros((len(subs), n), dtype=bool)
+    byz_mask[np.repeat(np.arange(len(subs)), B), subs.ravel()] = True
+    score = _Score()
+    kappa_emp = 0.0
+    for _ in range(trials):
+        goods = _good_vectors(rng, G, d)
+        byz = _byz_vectors(rng, goods, B, d)
+        mat = np.empty((n, d))
+        byz_pos = np.sort(rng.choice(n, B)) if B > 0 else np.empty(0, dtype=int)
+        mat[np.setdiff1d(np.arange(n), byz_pos)] = goods
+        mat[byz_pos] = byz
+        agg = aggregate(spec, mat)
+
+        vbar = (mat.sum(axis=0) - mat[subs].sum(axis=1)) / G
+        dist = np.linalg.norm(mat[None, :, :] - vbar[:, None, :], axis=2)
+        disp = dist.sum(axis=1) - np.take_along_axis(dist, subs, axis=1).sum(axis=1)
+        good_max = np.where(byz_mask, -np.inf, dist).max(axis=1)
+        lhs = np.linalg.norm(agg - vbar, axis=1)
+
+        positive = disp > 0
+        ratios = np.where(positive, lhs * G / np.maximum(disp, 1e-300), 0.0)
+        kappa_emp = max(kappa_emp, float(ratios.max()))
+        if not asserted:
+            continue
+        lev_c = np.where(positive, good_max * G / np.maximum(disp, 1e-300), 0.0)
+        kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
+        rhs = np.where(positive, kap / G * disp, 0.0)
+        tol = tol_rel * np.maximum(np.maximum(rhs, dist.max(axis=1)), 1.0)
+        score.add(rhs + tol - lhs)
+    return score.report(f"robustness[{spec.name}]", trials, {
+        "n": n, "B": B, "d": d, "tol_rel": tol_rel, "asserted": asserted,
+        "kappa_theoretical": kappa if kappa is not None else kappa_base,
+        "kappa_empirical": kappa_emp,
+    })
+
+
+@pytest.mark.parametrize("rule,nnm,kappa", [
+    ("gm", False, None), ("cwmed", True, None), ("krum", False, None), ("mean", False, 1e6),
+], ids=["gm", "cwmed+nnm", "krum", "mean-teeth"])
+def test_blocked_fuzz_reports_equal_one_at_a_time(rule, nnm, kappa):
+    """Blocks of instances give the reports of the one-at-a-time loop, to
+    the byte, on either side of each block boundary."""
+    spec = AggregatorSpec(rule=rule, n=20, B=3, nnm=nnm)
+    for trials in (1, FUZZ_BLOCK - 1, FUZZ_BLOCK, FUZZ_BLOCK + 1, 150):
+        got = check_robustness(spec, trials, 10, RngStream(21, trials), kappa=kappa)
+        want = reference_check_robustness(spec, trials, 10, RngStream(21, trials), kappa=kappa)
+        assert got.to_json() == want.to_json(), trials
+
+
+@pytest.mark.parametrize("n,B,d", [(7, 2, 3), (5, 1, 1), (6, 0, 4), (8, 2, 17), (12, 5, 10)])
+def test_blocked_fuzz_matches_at_other_shapes(n, B, d):
+    """Fewer coordinates than the coordinate sum's eight partial sums,
+    more than eight, and no Byzantine slots at all."""
+    spec = AggregatorSpec(rule="gm", n=n, B=B, nnm=True)
+    got = check_robustness(spec, 60, d, RngStream(22, n))
+    assert got.to_json() == reference_check_robustness(spec, 60, d, RngStream(22, n)).to_json()
+
+
+def test_labelings_are_read_only():
+    """Every fuzz shares the cached labelings; none can write into them."""
+    subs = _byz_subsets(20, 3)
+    assert subs.shape == (1140, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        subs[0, 0] = 5
+    assert _byz_subsets(20, 3) is subs
 
 
 def test_median_ignores_single_huge_outlier():
@@ -174,6 +255,21 @@ def test_l0l1_needs_known_minimum():
 def test_check_gradient_passes(spec):
     rep = check_gradient(spec, 30, rng=RngStream(8, 0))
     assert rep.violations == 0
+
+
+def test_nan_margins_are_violations():
+    """Far from the origin the exponential overflows: the finite
+    differences of 4 of these 20 points are NaN, and each is a violation
+    that leaves the worst margin NaN."""
+    spec = ObjectiveSpec(kind="exponential", dim=3, direction=(0.5, -0.25, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_gradient(spec, 20, rng=RngStream(1, 5), radius=2000.0)
+    assert rep.violations >= 4
+    assert math.isnan(rep.worst_margin)
+    score = _Score()
+    score.add([1.0, float("nan"), -2.0])
+    score.add([3.0])
+    assert score.violations == 2 and math.isnan(score.worst)
 
 
 def test_check_gradient_at_origin():
