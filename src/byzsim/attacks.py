@@ -24,6 +24,7 @@ Strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -57,52 +58,62 @@ class AttackContext:
     """Honest traffic visible to the adversary at one iteration.
 
     ``iteration`` is 0-based; ``honest_updates`` is the (G, d) matrix of
-    honest momentum vectors, ``honest_mean`` its mean, ``gradient_mean``
-    the mean of the honest stochastic gradients drawn this iteration, and
-    ``coord_std`` the population (divide-by-G) coordinate-wise standard
-    deviation of the honest updates.
+    honest momentum vectors and ``honest_gradients`` the honest stochastic
+    gradients drawn this iteration, or (R, G, d) blocks of one matrix per
+    run. Each statistic is taken along the worker axis (-2), the first
+    time an attack reads it: ``honest_mean`` the mean of the updates,
+    ``gradient_mean`` the mean of the gradients, and ``coord_std`` the
+    population (divide-by-G) coordinate-wise standard deviation of the
+    updates.
     """
 
     iteration: int
     honest_updates: np.ndarray
-    honest_mean: np.ndarray
-    gradient_mean: np.ndarray
-    coord_std: np.ndarray
+    honest_gradients: np.ndarray
 
     @classmethod
     def from_honest(cls, iteration: int, honest_updates: np.ndarray, honest_gradients: np.ndarray):
-        updates = np.asarray(honest_updates, dtype=float)
-        return cls(
-            iteration=iteration,
-            honest_updates=updates,
-            honest_mean=updates.mean(axis=0),
-            gradient_mean=np.asarray(honest_gradients, dtype=float).mean(axis=0),
-            coord_std=updates.std(axis=0),
-        )
+        return cls(iteration, np.asarray(honest_updates, dtype=float),
+                   np.asarray(honest_gradients, dtype=float))
+
+    @cached_property
+    def honest_mean(self) -> np.ndarray:
+        return self.honest_updates.mean(axis=-2)
+
+    @cached_property
+    def gradient_mean(self) -> np.ndarray:
+        return self.honest_gradients.mean(axis=-2)
+
+    @cached_property
+    def coord_std(self) -> np.ndarray:
+        return self.honest_updates.std(axis=-2)
 
 
 def byzantine_update(
     spec: AttackSpec, iteration: int, momenta: np.ndarray, grads: np.ndarray, G: int
 ) -> np.ndarray:
-    """(B, d) vectors the Byzantine workers transmit this iteration.
+    """(B, d) vectors the Byzantine workers transmit this iteration, or
+    (R, B, d) for (R, n, d) blocks of R runs, each run's as it would be
+    alone.
 
     ``iteration`` is 0-based. Rows ``G:`` of ``momenta`` and ``grads`` are
     the Byzantine workers' own honest-protocol momenta and stochastic
     gradients (label-flip poisoning, when active, is already in them);
     rows ``:G`` are the honest workers'.
     """
-    B = momenta.shape[0] - G
+    B = momenta.shape[-2] - G
     if spec.kind == "bit_flip":
-        return -(grads[G:] if spec.bf_gradient_level else momenta[G:])
+        return -(grads if spec.bf_gradient_level else momenta)[..., G:, :]
     if spec.kind in ("none", "label_flip") or (
         spec.kind == "mimic" and iteration < spec.mimic_warmup
     ):
-        return momenta[G:].copy()
-    ctx = AttackContext.from_honest(iteration, momenta[:G], grads[:G])
+        return momenta[..., G:, :].copy()
+    ctx = AttackContext.from_honest(iteration, momenta[..., :G, :], grads[..., :G, :])
     if spec.kind == "mimic":
-        return np.tile(-2.0 * ctx.gradient_mean, (B, 1))
-    # alie
-    return np.tile(ctx.honest_mean + spec.alie_z * ctx.coord_std, (B, 1))
+        sent = -2.0 * ctx.gradient_mean
+    else:  # alie
+        sent = ctx.honest_mean + spec.alie_z * ctx.coord_std
+    return np.repeat(sent[..., None, :], B, axis=-2)
 
 
 def shift_labels(labels, c: int, C: int) -> np.ndarray:

@@ -85,8 +85,8 @@ def _cmd_tune(args) -> int:
     config = harness.load_config(args.config)
     # config_to_dict writes a theoretical schedule's horizon, which the
     # prefix's K then leaves at the config's.
-    best, table = harness.tune_gamma0(harness.config_to_dict(config),
-                                      {"K": args.prefix, "log_every": args.prefix})
+    [(best, table)] = harness.tune_gamma0([harness.config_to_dict(config)],
+                                          {"K": args.prefix, "log_every": args.prefix})
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": harness.SCHEMA_VERSION,

@@ -88,13 +88,14 @@ def check_choices(obj) -> None:
 
 def normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Rescale v to unit norm; below the eps threshold return the zero
-    vector (the server then takes a zero step)."""
+    vector (the server then takes a zero step). A (R, d) array is
+    rescaled row by row, each row as it would be alone."""
     if eps <= 0:
         raise ConfigError(f"normalize eps must be > 0, got {eps}")
-    n = float(np.linalg.norm(v))
-    if n > eps:
-        return v / n
-    return np.zeros_like(v)
+    v = np.asarray(v, dtype=float)
+    # vecdot is the dot product np.linalg.norm takes of one vector.
+    norms = np.sqrt(np.vecdot(v, v))[..., None]
+    return np.divide(v, norms, out=np.zeros_like(v), where=norms > eps)
 
 
 def gaussian_vector(rng: RngStream, d: int, variance: float) -> np.ndarray:

@@ -9,16 +9,29 @@ exactly the scheduled gamma (or zero when the aggregate vanishes);
 the two baselines step with the raw aggregate and may diverge on
 rapidly-growing objectives, which the run reports rather than raises.
 
-Worker state is held as (n, d) arrays, one row per worker, the G honest
-rows first: fixed shifts, momenta, and this step's stochastic gradients.
+``run_batch`` steps R runs in lockstep along a leading run axis, and
+``run`` is ``run_batch`` with one row. The rows may differ only in seed,
+schedule and optimizer (``ROW_FIELDS``), so they share the objective,
+the attack and the rule, and every stage takes all rows in one call:
+the iterates are one (R, d) array, the worker state (R, n, d) arrays,
+one row per worker with the G honest rows first: fixed shifts, momenta,
+and this step's stochastic gradients. gamma and eta are per-row vectors,
+and a per-row mask picks the normalized or the raw step. A row that
+diverges leaves the batch, as a converged row leaves the batched
+Weiszfeld iteration; the others run on. Each row's arithmetic is the
+arithmetic of its run alone, so every row's trajectory is bit for bit
+the one ``run`` gives it.
+
 A worker's oracle draw is ``(gradient + noise) + shift``, row-wise over
 the whole array. Worker i's noise comes from its own stream
 ``RngStream(seed, i)``, drawn in chunks of at most ``NOISE_CHUNK`` steps;
 a Philox draw of c*d normals equals c successive draws of d normals bit
-for bit, so the chunking leaves every trajectory unchanged. Only rows
-with a label table (label-flipped Byzantine workers, or all rows of an
-``oracle.labels`` table) replace the full-data gradient with their own
-shard gradient.
+for bit, so the chunking leaves every trajectory unchanged. Noise and
+shifts are drawn once per distinct seed of a batch and gathered to its
+rows: the candidates of a tuning grid share a seed, and so their
+streams. Only rows with a label table (label-flipped Byzantine workers,
+or all rows of an ``oracle.labels`` table) replace the full-data
+gradient with their own shard gradient.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal
 
 import numpy as np
@@ -58,7 +71,10 @@ __all__ = [
     "RunConfig",
     "TrajectoryRecord",
     "RunResult",
+    "ROW_FIELDS",
+    "lockstep_mismatch",
     "run",
+    "run_batch",
     "schedule_values",
     "gamma0_cap",
 ]
@@ -68,6 +84,8 @@ logger = logging.getLogger("byzsim")
 # Most steps of oracle noise drawn per worker at once: 64 x n x d floats,
 # about 2 MB at n=20, d=200.
 NOISE_CHUNK = 64
+# The RunConfig fields in which the rows of one lockstep batch may differ.
+ROW_FIELDS = ("seed", "schedule", "optimizer")
 
 
 @dataclass(frozen=True)
@@ -256,91 +274,154 @@ def _warn_gamma0(config: RunConfig) -> None:
         )
 
 
-def run(config: RunConfig, capture_states: bool = False) -> RunResult:
-    """Execute K iterations and return the trajectory log.
 
-    A non-finite iterate or objective value aborts the run: the result is
-    flagged diverged and keeps every record up to the last finite point
-    (expected for the unnormalized baselines on fast-growing objectives).
+
+
+
+def lockstep_mismatch(a: RunConfig, b: RunConfig) -> str | None:
+    """The first field outside ``ROW_FIELDS`` in which two configs differ,
+    or None when they can run in one lockstep batch."""
+    for f in fields(RunConfig):
+        if f.name in ROW_FIELDS:
+            continue
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if not (np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v):
+            return f.name
+    return None
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row norms, each the dot product ``np.linalg.norm`` takes of one vector."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _stop(results: list[RunResult], rows, k: int, finals) -> None:
+    for r, final in zip(rows, finals):
+        results[r].diverged, results[r].divergence_step, results[r].final_x = True, k, final
+
+
+def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[RunResult]:
+    """Execute K iterations of every config in lockstep and return one
+    trajectory log per config, each bit for bit the log of its run alone.
+
+    The configs may differ only in ``ROW_FIELDS``; any other difference
+    raises ConfigError naming the field. A non-finite iterate or objective
+    value stops that row: its result is flagged diverged and keeps every
+    record up to the last finite point (expected for the unnormalized
+    baselines on fast-growing objectives), and the other rows go on.
     """
-    _validate(config)
-    _warn_gamma0(config)
-    spec = config.objective
-    G = config.n - config.B
-    shifts = _worker_shifts(config)
-    labeled = _labeled_rows(config)
-    noise_steps = _noise_steps(config, config.K + 1)
-    x = np.array(config.x0, dtype=float)
+    configs = list(configs)
+    for config in configs:
+        _validate(config)
+    for config in configs[1:]:
+        name = lockstep_mismatch(configs[0], config)
+        if name is not None:
+            raise ConfigError(f"lockstep runs may differ only in {', '.join(ROW_FIELDS)}, "
+                              f"not in {name!r}")
+    for config in configs:
+        _warn_gamma0(config)
+    if not configs:
+        return []
+    head = configs[0]
+    spec, G = head.objective, head.n - head.B
+    by_seed: dict[int, RunConfig] = {}
+    for config in configs:
+        by_seed.setdefault(config.seed, config)
+    seed_shifts = [_worker_shifts(config) for config in by_seed.values()]
+    noise_streams = [_noise_steps(config, head.K + 1) for config in by_seed.values()]
+    row_seed = np.array([list(by_seed).index(config.seed) for config in configs])
+    labeled = _labeled_rows(head)
+    normalized = np.array([config.optimizer == "byz_nsgdm" for config in configs])
+
+    # The rows still running: ``live`` holds each one's index in configs.
+    live = np.arange(len(configs))
+    shifts = np.stack(seed_shifts)[row_seed]
+    x = np.array([config.x0 for config in configs], dtype=float)
 
     def oracle(x: np.ndarray, base_grad: np.ndarray) -> np.ndarray:
-        noise = next(noise_steps)
-        grads = base_grad + noise
-        for i, labels, feats in labeled:
-            grads[i] = gradient_with_labels(spec, x, labels, feats=feats) + noise[i]
+        noise = np.stack([next(stream) for stream in noise_streams])[row_seed[live]]
+        grads = base_grad[:, None, :] + noise
+        for r in range(len(x) if labeled else 0):
+            for i, labels, feats in labeled:
+                grads[r, i] = gradient_with_labels(spec, x[r], labels, feats=feats) + noise[r, i]
         grads += shifts
         return grads
 
     base_grad = gradient(spec, x)
     grads = oracle(x, base_grad)
-    if config.init_momentum == "stochastic_gradient":
+    if head.init_momentum == "stochastic_gradient":
         momenta = grads.copy()
     else:
         momenta = np.zeros_like(grads)
 
-    result = RunResult(
-        records=[],
-        final_x=x,
-        honest_shifts=shifts[:G],
-        states=[x.copy()] if capture_states else None,
-        aggregates=[] if capture_states else None,
-    )
-    result.records.append(
-        TrajectoryRecord(0, float(np.linalg.norm(base_grad)), value(spec, x), 0.0, 0.0)
-    )
+    results = [
+        RunResult(
+            records=[TrajectoryRecord(0, gn, f, 0.0, 0.0)],
+            final_x=x[r],
+            honest_shifts=seed_shifts[row_seed[r]][:G],
+            states=[x[r].copy()] if capture_states else None,
+            aggregates=[] if capture_states else None,
+        )
+        for r, (gn, f) in enumerate(zip(_norms(base_grad).tolist(), value(spec, x).tolist()))
+    ]
 
-    for k in range(1, config.K + 1):
-        gamma, eta = schedule_values(config.schedule, k - 1)
+    for k in range(1, head.K + 1):
+        gamma, eta = np.array([schedule_values(configs[r].schedule, k - 1) for r in live]).T
         base_grad = gradient(spec, x)
         grads = oracle(x, base_grad)
-        momenta *= 1.0 - eta
-        momenta += eta * grads
+        momenta *= (1.0 - eta)[:, None, None]
+        momenta += eta[:, None, None] * grads
 
         sent = momenta
-        if config.B > 0:
-            byz = byzantine_update(config.attack, k - 1, momenta, grads, G)
-            sent = np.concatenate((momenta[:G], byz))
+        if head.B > 0:
+            byz = byzantine_update(head.attack, k - 1, momenta, grads, G)
+            sent = np.concatenate((momenta[:, :G], byz), axis=1)
 
-        v = aggregate(config.aggregator, sent)
-        if config.optimizer == "byz_nsgdm":
-            direction = normalize(v)
-            stepped = bool(direction.any())
-            x_new = x - gamma * direction if stepped else x
-            step_size = gamma if stepped else 0.0
-        else:
-            x_new = x - gamma * v
-            step_size = gamma * float(np.linalg.norm(v))
+        v = aggregate(head.aggregator, sent)
+        # The normalized optimizer steps gamma along v/|v|, or not at all
+        # on a vanishing aggregate; the baselines step gamma * v.
+        rows_normalized = normalized[live]
+        direction = np.where(rows_normalized[:, None], normalize(v), v)
+        stepped = ~rows_normalized | direction.any(axis=-1)
+        x_new = np.where(stepped[:, None], x - gamma[:, None] * direction, x)
+        step_size = np.where(rows_normalized, np.where(stepped, gamma, 0.0), gamma * _norms(v))
 
         # Abort before x**4-scale quantities can overflow downstream.
-        if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > 1e25:
-            result.diverged = True
-            result.divergence_step = k
-            break
+        out = ~np.isfinite(x_new).all(axis=-1) | (np.abs(x_new).max(axis=-1) > 1e25)
+        if out.any():
+            _stop(results, live[out], k, x[out])
+            keep = ~out
+            live, x_new, v, base_grad, step_size, momenta, shifts = (
+                a[keep] for a in (live, x_new, v, base_grad, step_size, momenta, shifts))
 
         x = x_new
-        result.final_x = x
         if capture_states:
-            result.states.append(x.copy())
-            result.aggregates.append(v)
+            for r, x_r, v_r in zip(live, x, v):
+                results[r].states.append(x_r.copy())
+                results[r].aggregates.append(v_r)
 
-        if k % config.log_every == 0 or k == config.K:
+        if k % head.log_every == 0 or k == head.K:
             f_val = value(spec, x)
-            grad_now = gradient(spec, x)
-            gn = float(np.linalg.norm(grad_now))
-            if not (math.isfinite(f_val) and math.isfinite(gn)):
-                result.diverged = True
-                result.divergence_step = k
-                break
-            agg_err = float(np.linalg.norm(v - base_grad))
-            result.records.append(TrajectoryRecord(k, gn, f_val, agg_err, step_size))
+            gn = _norms(gradient(spec, x))
+            out = ~(np.isfinite(f_val) & np.isfinite(gn))
+            if out.any():
+                _stop(results, live[out], k, x[out])
+                keep = ~out
+                live, x, v, base_grad, step_size, momenta, shifts, f_val, gn = (
+                    a[keep] for a in (live, x, v, base_grad, step_size, momenta, shifts,
+                                      f_val, gn))
+            agg_err = _norms(v - base_grad)
+            for r, *fields_ in zip(live, gn.tolist(), f_val.tolist(), agg_err.tolist(),
+                                   step_size.tolist()):
+                results[r].records.append(TrajectoryRecord(k, *fields_))
+        if not len(live):
+            break
 
-    return result
+    for r, x_r in zip(live, x):
+        results[r].final_x = x_r
+    return results
+
+
+def run(config: RunConfig, capture_states: bool = False) -> RunResult:
+    """Execute K iterations of one config: ``run_batch`` with one row."""
+    return run_batch([config], capture_states)[0]

@@ -30,9 +30,12 @@ name, and so the same output directory, are rejected.
 
 Trajectories are CSV with fixed columns
 ``k,grad_norm,f_value,agg_error,step_size`` and floats rendered with 17
-significant digits so they round-trip exactly. Sweep cells can run in
-parallel processes; per-run determinism is unaffected because every run
-re-derives its random streams from (seed, stream id) alone.
+significant digits so they round-trip exactly. A sweep runs every
+cell's tuning candidates, then every cell's seeds, each phase as
+lockstep groups of the configs that differ only in seed, schedule and
+optimizer (``run_grouped``); the groups can run in parallel processes.
+Neither changes a byte: every row of a lockstep batch is its run alone,
+and every run re-derives its random streams from (seed, stream id).
 """
 
 from __future__ import annotations
@@ -53,7 +56,17 @@ import numpy as np
 
 from .aggregators import AggregatorSpec
 from .core import ConfigError, check_choice, field_hints
-from .engine import RunConfig, RunResult, Schedule, TrajectoryRecord, run
+# ``run`` is not called here; it stays importable as ``byzsim.harness.run``,
+# a name bench/tracing.py times.
+from .engine import (  # noqa: F401
+    RunConfig,
+    RunResult,
+    Schedule,
+    TrajectoryRecord,
+    lockstep_mismatch,
+    run,
+    run_batch,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -68,6 +81,7 @@ __all__ = [
     "with_changes",
     "write_trajectory_csv",
     "tune_gamma0",
+    "run_grouped",
     "run_sweep",
     "DEFAULT_TUNING_GRID",
     "final_grad_norm",
@@ -530,32 +544,55 @@ class SummaryTable:
         return "\n".join(lines)
 
 
-def _run_for_final(config: RunConfig) -> float:
-    return final_grad_norm(run(config))
+def run_grouped(configs: list[RunConfig], executor: ProcessPoolExecutor | None = None
+                ) -> list[RunResult]:
+    """Run every config and return their results in input order. Configs
+    that may run in lockstep (``engine.lockstep_mismatch``) form one
+    ``run_batch`` group, in input order; the groups are mapped over
+    ``executor`` when one is given."""
+    groups: list[list[int]] = []
+    for i, config in enumerate(configs):
+        for group in groups:
+            if lockstep_mismatch(configs[group[0]], config) is None:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    batches = (executor.map if executor else map)(
+        run_batch, [[configs[i] for i in group] for group in groups])
+    results: list[RunResult] = [None] * len(configs)
+    for group, batch in zip(groups, batches):
+        for i, result in zip(group, batch):
+            results[i] = result
+    return results
 
 
 def tune_gamma0(
-    config: dict,
+    configs: list[dict],
     changes: dict,
     grid=DEFAULT_TUNING_GRID,
     executor: ProcessPoolExecutor | None = None,
-) -> tuple[float, dict[float, float]]:
-    """Run the config dict ``config`` with ``changes`` (a short prefix) and
-    each candidate gamma0 set, and return the gamma0 minimizing the final
-    gradient norm (ties toward the smaller rate). Diverged candidates
-    score infinity."""
-    configs = [parse_config(with_changes(config, {**changes, "schedule.gamma0": g}))
-               for g in grid]
-    scores = list((executor.map if executor else map)(_run_for_final, configs))
-    table = dict(zip(grid, scores))
-    best = min(sorted(grid), key=lambda g: table[g])
-    return best, table
+) -> list[tuple[float, dict[float, float]]]:
+    """Run each config dict of ``configs`` with ``changes`` (a short
+    prefix) and each candidate gamma0 set, all in one ``run_grouped``
+    call, and return per config the gamma0 minimizing the final gradient
+    norm (ties toward the smaller rate) and the score of each candidate.
+    Diverged candidates score infinity."""
+    candidates = [parse_config(with_changes(config, {**changes, "schedule.gamma0": g}))
+                  for config in configs for g in grid]
+    scores = iter([final_grad_norm(r) for r in run_grouped(candidates, executor)])
+    tuned = []
+    for _ in configs:
+        table = {g: next(scores) for g in grid}
+        tuned.append((min(sorted(grid), key=lambda g: table[g]), table))
+    return tuned
 
 
 def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTable:
     """Tune gamma0 (optionally, on the first seed and a short prefix) and
     run every cell of ``manifest.cells()`` across all seeds; write
-    per-run CSVs and a summary JSON."""
+    per-run CSVs and a summary JSON. Each phase is one ``run_grouped``
+    call: every cell's tuning candidates, then every cell's seeds."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = manifest.cells()
@@ -565,17 +602,17 @@ def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTa
     cell_dicts = [config_to_dict(cell) for cell, _ in cells]
     prefix = {"seed": seeds[0], "K": manifest.tuning_prefix, "log_every": manifest.tuning_prefix}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as executor:
-        gamma0s = [
-            tune_gamma0(d, prefix, manifest.tuning_grid, executor)[0] if manifest.tune
-            else cell.schedule.gamma0
-            for (cell, _), d in zip(cells, cell_dicts)
-        ]
+        if manifest.tune:
+            gamma0s = [best for best, _ in
+                       tune_gamma0(cell_dicts, prefix, manifest.tuning_grid, executor)]
+        else:
+            gamma0s = [cell.schedule.gamma0 for cell, _ in cells]
         run_configs = [
             parse_config(with_changes(d, {"schedule.gamma0": gamma0, "seed": seed}))
             for d, gamma0 in zip(cell_dicts, gamma0s)
             for seed in seeds
         ]
-        results = list((executor.map if executor else map)(run, run_configs))
+        results = run_grouped(run_configs, executor)
 
     table = SummaryTable()
     per_cell = iter(results)

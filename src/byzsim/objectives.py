@@ -139,15 +139,31 @@ def worker_shard(spec: ObjectiveSpec, worker_id: int) -> slice:
     return slice(worker_id * m, (worker_id + 1) * m)
 
 
-def value(spec: ObjectiveSpec, x: np.ndarray) -> float:
-    if x.shape != (spec.dim,):
-        raise ConfigError(f"point has shape {x.shape}, expected ({spec.dim},)")
+def _points(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
+    """``x`` checked to be one point (dim,) or a (R, dim) row of points."""
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.dim:
+        raise ConfigError(f"point has shape {x.shape}, expected ({spec.dim},) or (R, {spec.dim})")
+    return x
+
+
+def value(spec: ObjectiveSpec, x: np.ndarray):
+    """f at the point x, or the (R,) values at each row of a (R, dim) x."""
+    x = _points(spec, x)
+    if spec.kind == "softmax":
+        if x.ndim == 2:
+            return np.array([_softmax_value(spec, row) for row in x])
+        return _softmax_value(spec, x)
     if spec.kind == "quartic":
-        s = float(np.dot(x, x))
-        return s * s
-    if spec.kind == "exponential":
-        return float(np.exp(np.dot(np.asarray(spec.direction), x)))
-    feats, labels = softmax_dataset(spec)  # mean cross-entropy
+        s = np.vecdot(x, x)
+        out = s * s
+    else:
+        out = np.exp(np.vecdot(x, np.asarray(spec.direction)))
+    return float(out) if x.ndim == 1 else out
+
+
+def _softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
+    """Mean cross-entropy at the flattened weight matrix x."""
+    feats, labels = softmax_dataset(spec)
     logits = feats @ x.reshape(spec.n_classes, spec.feature_dim).T
     logits -= logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(logits).sum(axis=1))
@@ -155,14 +171,17 @@ def value(spec: ObjectiveSpec, x: np.ndarray) -> float:
 
 
 def gradient(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
-    if x.shape != (spec.dim,):
-        raise ConfigError(f"point has shape {x.shape}, expected ({spec.dim},)")
+    """The gradient at the point x, or the (R, dim) gradients at each row
+    of a (R, dim) x, each row as it would be alone."""
+    x = _points(spec, x)
     if spec.kind == "quartic":
-        return 4.0 * x * float(np.dot(x, x))
+        return 4.0 * x * np.vecdot(x, x)[..., None]
     if spec.kind == "exponential":
         a = np.asarray(spec.direction)
-        return a * float(np.exp(np.dot(a, x)))
+        return a * np.exp(np.vecdot(x, a))[..., None]
     feats, labels = softmax_dataset(spec)
+    if x.ndim == 2:
+        return np.array([gradient_with_labels(spec, row, labels, feats=feats) for row in x])
     return gradient_with_labels(spec, x, labels, feats=feats)
 
 

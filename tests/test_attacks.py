@@ -104,3 +104,41 @@ def test_shift_labels_out_of_range():
 def test_unknown_attack_kind():
     with pytest.raises(ConfigError):
         AttackSpec("gradient_ascent")
+
+
+def contexts_built(monkeypatch):
+    """Every AttackContext that ``byzantine_update`` builds from now on."""
+    made = []
+    build = AttackContext.from_honest
+
+    def record(iteration, updates, gradients):
+        made.append(build(iteration, updates, gradients))
+        return made[-1]
+
+    monkeypatch.setattr(AttackContext, "from_honest", record)
+    return made
+
+
+def test_attacks_compute_only_the_statistics_they_read(monkeypatch):
+    made = contexts_built(monkeypatch)
+    honest, byz = [[1.0, 0.0], [3.0, 4.0], [2.0, 2.0]], [[0.0, 0.0]]
+    update(AttackSpec("mimic", mimic_warmup=0), 0, honest, byz)
+    update(AttackSpec("alie"), 0, honest, byz)
+    mimic, alie = (set(ctx.__dict__) & {"honest_mean", "gradient_mean", "coord_std"}
+                   for ctx in made)
+    assert mimic == {"gradient_mean"}
+    assert alie == {"honest_mean", "coord_std"}
+
+
+def test_statistics_along_the_worker_axis_of_a_run_block():
+    """A (R, n, d) block of runs gets each run's vectors, as alone."""
+    rng = np.random.default_rng(3)
+    momenta, grads = rng.normal(size=(4, 6, 3)), rng.normal(size=(4, 6, 3))
+    for spec in (AttackSpec("alie", alie_z=1.3), AttackSpec("mimic", mimic_warmup=0),
+                 AttackSpec("bit_flip"), AttackSpec("bit_flip", bf_gradient_level=True),
+                 AttackSpec("none")):
+        block = byzantine_update(spec, 0, momenta, grads, 4)
+        assert block.shape == (4, 2, 3)
+        for r in range(4):
+            np.testing.assert_array_equal(block[r], byzantine_update(spec, 0, momenta[r],
+                                                                     grads[r], 4))

@@ -134,11 +134,12 @@ def test_tune_keeps_theoretical_horizon(tmp_path, monkeypatch):
     the config leaves for the parser to derive."""
     horizons = []
 
-    def record(config):
-        horizons.append(config.schedule.horizon)
-        return 1.0
+    def record(configs, capture_states=False):
+        horizons.extend(config.schedule.horizon for config in configs)
+        return [harness.RunResult(records=[], final_x=config.x0, honest_shifts=None)
+                for config in configs]
 
-    monkeypatch.setattr(harness, "_run_for_final", record)
+    monkeypatch.setattr(harness, "run_batch", record)
     cfg = write(tmp_path, {**CONFIG, "schedule": {"kind": "theoretical", "gamma0": 0.1}})
     assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--prefix", "20"]) == 0

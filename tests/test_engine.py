@@ -1,10 +1,12 @@
 import logging
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from byzsim.aggregators import AggregatorSpec
@@ -15,9 +17,19 @@ from byzsim.engine import (
     Schedule,
     gamma0_cap,
     run,
+    run_batch,
     schedule_values,
 )
-from byzsim.objectives import ObjectiveSpec, OracleConfig, gradient
+from byzsim.harness import write_trajectory_csv
+from byzsim.objectives import (
+    ObjectiveSpec,
+    OracleConfig,
+    gradient,
+    softmax_dataset,
+    value,
+    worker_shard,
+)
+from reference_engine import reference_run
 
 
 def quartic_config(
@@ -354,3 +366,153 @@ def test_label_flip_uses_table_rows_when_given():
     with_table = run(softmax_config(oracle=OracleConfig(noise_variance=1e-4, labels=table)))
     without = run(softmax_config())
     assert with_table.records != without.records  # honest oracles now shard-local
+
+
+# ---------------------------------------------------------------------------
+# Lockstep batches: every row of run_batch equals its run alone, as the
+# test-only single-run loop reference_engine.reference_run computes it.
+
+
+def csv_bytes(records) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        write_trajectory_csv(records, path)
+        return path.read_bytes()
+
+
+def assert_rows_equal_runs_alone(configs):
+    batch = run_batch(configs, capture_states=True)
+    assert len(batch) == len(configs)
+    for config, got in zip(configs, batch):
+        want = reference_run(config, capture_states=True)
+        assert csv_bytes(got.records) == csv_bytes(want.records)
+        assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step)
+        np.testing.assert_array_equal(got.final_x, want.final_x)
+        np.testing.assert_array_equal(got.honest_shifts, want.honest_shifts)
+        assert len(got.states) == len(want.states)
+        assert len(got.aggregates) == len(want.aggregates)
+        for a, b in zip(got.states + got.aggregates, want.states + want.aggregates):
+            np.testing.assert_array_equal(a, b)
+    return batch
+
+
+LOCKSTEP_K = 10
+
+
+def lockstep_group(family, rule, nnm, init_momentum, log_every, rows):
+    """One config per row (seed, gamma0, momentum_beta, schedule kind,
+    optimizer) of a quartic run under ``family`` (an attack) or of the
+    softmax label-flip run with an ``oracle.labels`` table."""
+    configs = []
+    for seed, gamma0, beta, kind, optimizer in rows:
+        schedule = Schedule(kind=kind, gamma0=gamma0, momentum_beta=beta,
+                            horizon=LOCKSTEP_K if kind == "theoretical" else None)
+        if family == "label_flip":
+            labels = softmax_dataset(SOFTMAX_SPEC)[1]
+            table = tuple(tuple((int(v) + i) % 4 for v in labels[worker_shard(SOFTMAX_SPEC, i)])
+                          for i in range(6))
+            config = softmax_config(
+                oracle=OracleConfig(noise_variance=1e-4, labels=table),
+                aggregator=AggregatorSpec(rule=rule, n=6, B=2, nnm=nnm), K=6)
+        else:
+            config = quartic_config(n=7, B=2, rule=rule, nnm=nnm, K=LOCKSTEP_K, dim=4,
+                                    noise=1e-4, shifts=1e-3)
+            config.attack = LOCKSTEP_ATTACKS[family]
+        configs.append(replace(config, seed=seed, schedule=schedule, optimizer=optimizer,
+                               init_momentum=init_momentum, log_every=log_every))
+    return configs
+
+
+LOCKSTEP_ATTACKS = {
+    "none": AttackSpec(kind="none"),
+    "bit_flip": AttackSpec(kind="bit_flip"),
+    "bf_gradient_level": AttackSpec(kind="bit_flip", bf_gradient_level=True),
+    "mimic": AttackSpec(kind="mimic", mimic_warmup=4),  # warm-up ends mid-run
+    "alie": AttackSpec(kind="alie"),
+}
+OPTIMIZERS = ("byz_nsgdm", "baseline", "baseline_decay")
+ROWS = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from([1e-3, 0.02, 0.3, 1.0]),
+              st.sampled_from([0.0, 0.5, 0.9]),
+              st.sampled_from(["constant", "practical_decay", "theoretical"]),
+              st.sampled_from(OPTIMIZERS)),
+    min_size=1, max_size=6)
+# Baselines at gamma0 0.3 leave the quartic's basin within a few steps;
+# the other rows finish.
+MIXED_ROWS = [(0, 0.3, 0.9, "constant", "baseline"), (0, 1e-3, 0.9, "constant", "baseline"),
+              (1, 0.3, 0.5, "practical_decay", "byz_nsgdm"),
+              (0, 0.02, 0.0, "theoretical", "baseline_decay"),
+              (2, 1.0, 0.9, "practical_decay", "baseline_decay")]
+
+
+@pytest.mark.parametrize("family", [*LOCKSTEP_ATTACKS, "label_flip"])
+@pytest.mark.parametrize("rule,nnm", [(rule, nnm) for nnm in (False, True) for rule in
+                                      ("mean", "krum", "gm", "cwmed", "trimmed_mean")])
+@settings(max_examples=3, deadline=None)
+@given(rows=ROWS, init_momentum=st.sampled_from(["stochastic_gradient", "zero"]),
+       log_every=st.sampled_from([1, 3]))
+@example(rows=MIXED_ROWS, init_momentum="zero", log_every=1)
+@example(rows=MIXED_ROWS[::-1], init_momentum="stochastic_gradient", log_every=3)
+def test_lockstep_rows_equal_runs_alone(family, rule, nnm, rows, init_momentum, log_every):
+    configs = lockstep_group(family, rule, nnm, init_momentum, log_every, rows)
+    assert_rows_equal_runs_alone(configs)
+
+
+def test_lockstep_rows_diverge_alone():
+    """Rows that diverge mid-run, at the step check or at the logged
+    objective value, leave the batch; the rows around them finish."""
+    quartic = assert_rows_equal_runs_alone(
+        lockstep_group("bit_flip", "gm", True, "stochastic_gradient", 1, MIXED_ROWS))
+    assert [r.diverged for r in quartic] == [True, False, False, False, True]
+    assert all(1 < r.divergence_step < LOCKSTEP_K for r in quartic if r.diverged)
+
+    # mimic turns the mean into ascent on exp(<a, x>); the baselines then
+    # overflow f at a finite iterate (gamma0 0.2, 1.0) or leave the step
+    # check's range first (0.3).
+    base = RunConfig(
+        objective=ObjectiveSpec(kind="exponential", dim=3, direction=(0.5, -0.25, 1.0)),
+        oracle=OracleConfig(), n=5, B=2, attack=AttackSpec(kind="mimic", mimic_warmup=0),
+        aggregator=AggregatorSpec(rule="mean", n=5, B=2),
+        schedule=Schedule(kind="constant", gamma0=0.1, momentum_beta=0.0),
+        optimizer="baseline", K=30, seed=0, x0=np.zeros(3))
+    configs = [replace(base, schedule=Schedule(kind="constant", gamma0=g, momentum_beta=0.0),
+                       optimizer=opt)
+               for g, opt in ((0.2, "baseline"), (0.1, "baseline"), (0.3, "baseline"),
+                              (1.0, "baseline"), (0.1, "byz_nsgdm"))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponential = assert_rows_equal_runs_alone(configs)
+    assert [r.diverged for r in exponential] == [True, False, True, True, False]
+    spec = base.objective
+    with np.errstate(over="ignore"):
+        assert [math.isfinite(value(spec, r.final_x)) for r in exponential] == [
+            False, True, True, False, True]
+
+
+def test_lockstep_rows_share_noise_per_seed():
+    """Rows with one seed draw one stream: same seed, same honest shifts."""
+    configs = lockstep_group("alie", "cwmed", True, "zero", 1,
+                             [(5, 0.02, 0.9, "constant", "byz_nsgdm"),
+                              (6, 0.02, 0.9, "constant", "byz_nsgdm"),
+                              (5, 0.05, 0.5, "constant", "baseline")])
+    a, b, c = run_batch(configs)
+    np.testing.assert_array_equal(a.honest_shifts, c.honest_shifts)
+    assert not np.array_equal(a.honest_shifts, b.honest_shifts)
+
+
+@pytest.mark.parametrize("field,change", [
+    ("K", dict(K=6)),
+    ("attack", dict(attack=AttackSpec(kind="alie"))),
+    ("x0", dict(x0=np.zeros(10))),
+])
+def test_lockstep_rejects_rows_that_differ_elsewhere(field, change):
+    base = quartic_config(n=5, B=1, attack="bit_flip")
+    with pytest.raises(ConfigError, match=f"not in '{field}'"):
+        run_batch([base, replace(base, seed=3, **change)])
+
+
+def test_run_is_a_batch_of_one():
+    cfg = quartic_config(n=8, B=2, rule="krum", nnm=True, attack="alie", K=15,
+                         noise=1e-5, shifts=1e-3, seed=4)
+    [row] = run_batch([cfg])
+    assert row.records == run(cfg).records
+    assert run_batch([]) == []

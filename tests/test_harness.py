@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from byzsim.core import ConfigError, field_hints
-from byzsim.engine import RunConfig, TrajectoryRecord, run
+from byzsim.engine import RunConfig, RunResult, TrajectoryRecord, run
 from byzsim.harness import (
     CSV_COLUMNS,
     OPTIMIZER_SCHEDULE,
@@ -24,7 +24,8 @@ from byzsim.harness import (
     with_changes,
     write_trajectory_csv,
 )
-from test_golden import GOLDEN, golden_config
+from reference_engine import reference_run
+from test_golden import GOLDEN, golden_config, tree_sha256
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -114,17 +115,38 @@ def test_final_grad_norm_diverged():
     assert math.isinf(final_grad_norm(result))
 
 
+def fake_run_batch(scores):
+    """A ``run_batch`` stand-in whose rows end at ``scores[gamma0]``."""
+    def run_batch(configs, capture_states=False):
+        return [RunResult(records=[TrajectoryRecord(0, scores[c.schedule.gamma0], 0.0, 0.0, 0.0)],
+                          final_x=c.x0, honest_shifts=None,
+                          diverged=math.isinf(scores[c.schedule.gamma0]))
+                for c in configs]
+    return run_batch
+
+
 def test_tune_prefers_smaller_rate_on_tie(monkeypatch):
     import byzsim.harness as harness_mod
 
     scores = {0.01: 3.0, 0.05: 1.0, 0.2: 1.0, 1.0: math.inf}
-    monkeypatch.setattr(harness_mod, "_run_for_final",
-                        lambda cfg: scores[cfg.schedule.gamma0])
+    monkeypatch.setattr(harness_mod, "run_batch", fake_run_batch(scores))
 
     config = {**BASE_CONFIG, "schedule": {"kind": "constant", "gamma0": 0.1}}
-    best, table = tune_gamma0(config, {"K": 5}, grid=(1.0, 0.2, 0.05, 0.01))
+    [(best, table)] = tune_gamma0([config], {"K": 5}, grid=(1.0, 0.2, 0.05, 0.01))
     assert best == 0.05  # smaller rate wins the tie, diverged scores lose
     assert table[1.0] == math.inf
+
+
+def test_tune_returns_one_choice_per_config():
+    """Candidates of several configs run in lockstep groups; each config
+    gets the choice and table of tuning it alone."""
+    configs = [{**BASE_CONFIG, "optimizer": opt, "attack": {"kind": attack}}
+               for attack in ("alie", "bit_flip") for opt in ("byz_nsgdm", "baseline")]
+    grid = (0.01, 0.1, 0.5)
+    tuned = tune_gamma0(configs, {"K": 20, "log_every": 20}, grid=grid)
+    assert tuned == [tune_gamma0([c], {"K": 20, "log_every": 20}, grid=grid)[0]
+                     for c in configs]
+    assert all(list(table) == list(grid) for _, table in tuned)
 
 
 def test_manifest_from_dict():
@@ -199,6 +221,46 @@ def test_sweep_parallel_jobs_identical(tmp_path):
     for p1 in sorted((tmp_path / "j1").rglob("*.csv")):
         p2 = tmp_path / "j2" / p1.relative_to(tmp_path / "j1")
         assert p1.read_bytes() == p2.read_bytes(), p1.name
+
+
+def test_sweep_groups_write_the_bytes_of_runs_alone(tmp_path):
+    """A sweep whose cells fall into several lockstep groups (a K axis and
+    a B axis) writes the same bytes with one process, with two, and from
+    each config run alone and tuned alone."""
+    grid, prefix = (0.01, 0.1, 0.5), 8
+    spec = {
+        "schema": 1,
+        "base": {**BASE_CONFIG, "K": 20},
+        "sweep": {
+            "seeds": [1, 2],
+            "attacks": [{"kind": "alie"}, {"kind": "bit_flip"}],
+            "aggregators": [{"rule": "gm", "nnm": True}],
+            "optimizers": ["byz_nsgdm", "baseline"],
+            "K": [12, 20],
+            "B": [0, 1],
+        },
+        "tuning": {"enabled": True, "grid": list(grid), "prefix_iters": prefix},
+    }
+    manifest = ExperimentManifest.from_dict(spec)
+    table = run_sweep(manifest, tmp_path / "j1", jobs=1)
+    run_sweep(ExperimentManifest.from_dict(spec), tmp_path / "j2", jobs=2)
+    assert tree_sha256(tmp_path / "j1") == tree_sha256(tmp_path / "j2")
+
+    tuning = {"seed": 1, "K": prefix, "log_every": prefix}
+    for (cell, _), summary in zip(manifest.cells(), table.cells):
+        d = config_to_dict(cell)
+        scores = {g: final_grad_norm(reference_run(
+            parse_config(with_changes(d, {**tuning, "schedule.gamma0": g})))) for g in grid}
+        gamma0 = min(sorted(grid), key=scores.get)
+        assert summary.gamma0 == gamma0
+        for seed in (1, 2):
+            ref = reference_run(parse_config(with_changes(d, {"schedule.gamma0": gamma0,
+                                                                 "seed": seed})))
+            path = tmp_path / "ref" / "-".join(summary.name) / f"seed_{seed}.csv"
+            write_trajectory_csv(ref.records, path)
+            assert path.read_bytes() == (
+                tmp_path / "j1" / "-".join(summary.name) / f"seed_{seed}.csv").read_bytes()
+    assert len(table.cells) == 16
 
 
 def test_table1_manifest_shape():
