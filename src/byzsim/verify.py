@@ -8,8 +8,9 @@ approximation of the segment supremum, the per-step descent inequality is
 re-evaluated from captured trajectories with exact values, and analytic
 gradients are compared against central finite differences.
 
-Checks return a :class:`CheckReport` (JSON-serializable) with the number
-of instances, violations, and the worst margin seen. Every check scores
+Checks return a :class:`CheckReport` with the number of instances,
+violations, and the worst margin seen, written as strict (RFC 8259) JSON:
+a worst margin that is not finite is written as null. Every check scores
 its margins the same way (``_Score``): a violation is a margin that is
 negative or NaN, and the worst margin is the smallest one (NaN once any
 margin is NaN), so a negative or NaN worst margin means at least one
@@ -66,10 +67,16 @@ class CheckReport:
     parameters: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The report as strict JSON holds it: a worst margin that is not
+        finite (infinite with no margins, NaN after a NaN margin) is None."""
+        d = asdict(self)
+        if not math.isfinite(d["worst_margin"]):
+            d["worst_margin"] = None
+        return d
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        """RFC 8259 JSON: a NaN or infinity anywhere raises ValueError."""
+        return json.dumps(self.as_dict(), sort_keys=True, allow_nan=False)
 
 
 class _Score:

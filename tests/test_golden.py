@@ -144,7 +144,7 @@ TABLE1_SWEEP = "c54a1f358e9917f4f8f6ba0e66c14cf6922e2def961b77cba295ddb123492836
 # gamma0, seed) order.
 ABLATION_FINALS = "f0a48a367e205df74dedc1e42b9fa3a972ddf862152f5f74cf8fdf7b1b789a56"
 # byzsim verify --trials 150 --seed 1: tree_sha256 of its 12 reports.
-VERIFY_REPORTS = "6f0227c4135048af6e2d0dba83b5102b4fde63df4e7e61e93afc2c0662b8478d"
+VERIFY_REPORTS = "e39b9637b3c103bd01e90c5d61d409a4647826d2587674a1483076b4d62fe61a"
 
 
 def tree_sha256(root) -> str:
@@ -191,10 +191,30 @@ def test_ablation_finals_pinned(tmp_path):
     assert hashlib.sha256(repr(finals).encode()).hexdigest() == ABLATION_FINALS
 
 
-def test_verify_report_bytes_pinned(tmp_path, capsys):
-    assert main(["verify", "--trials", "150", "--seed", "1", "--out", str(tmp_path)]) == 0
-    assert len(list(tmp_path.glob("*.json"))) == 12
-    assert tree_sha256(tmp_path) == VERIFY_REPORTS
+@pytest.fixture(scope="module")
+def verify_reports(tmp_path_factory):
+    """The output directory of ``byzsim verify --trials 150 --seed 1``."""
+    out = tmp_path_factory.mktemp("verify")
+    assert main(["verify", "--trials", "150", "--seed", "1", "--out", str(out)]) == 0
+    return out
+
+
+def test_verify_report_bytes_pinned(verify_reports):
+    assert len(list(verify_reports.glob("*.json"))) == 12
+    assert tree_sha256(verify_reports) == VERIFY_REPORTS
+
+
+def test_verify_reports_are_strict_json(verify_reports):
+    """No report holds NaN or Infinity, which RFC 8259 parsers reject; the
+    rules without a coefficient have no margins and write null."""
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant}")
+
+    reports = {p.stem: json.loads(p.read_text(), parse_constant=reject)
+               for p in verify_reports.glob("*.json")}
+    assert len(reports) == 12
+    assert reports["robustness_krum"]["worst_margin"] is None
+    assert reports["robustness_trimmed_mean"]["worst_margin"] is None
 
 
 def test_first_aggregate_matches_reference_oracle():

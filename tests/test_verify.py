@@ -19,6 +19,7 @@ from byzsim.objectives import (
 )
 from byzsim.verify import (
     FUZZ_BLOCK,
+    CheckReport,
     _byz_subsets,
     _byz_vectors,
     _good_vectors,
@@ -199,6 +200,15 @@ def test_report_roundtrip_and_determinism():
     parsed = json.loads(rep1.to_json())
     assert parsed["instances"] == 100
     assert parsed["name"] == "robustness[gm]"
+
+
+def test_report_writes_non_finite_worst_margin_as_null():
+    for worst in (math.inf, math.nan):
+        rep = CheckReport("c", 1, 0, worst)
+        assert json.loads(rep.to_json())["worst_margin"] is None
+        assert rep.worst_margin is worst  # the report itself keeps it
+    with pytest.raises(ValueError):
+        CheckReport("c", 1, 0, 0.5, {"kappa": math.inf}).to_json()
 
 
 # ---------------------------------------------------------------------------
