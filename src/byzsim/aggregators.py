@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ConfigError, check_choices
+from .core import ConfigError, check_choices, norms
 
 __all__ = [
     "AggregatorSpec",
@@ -181,8 +181,7 @@ def geometric_median(
         w = 1.0 / np.maximum(_norms(rows - y[..., None, :]), nu)
         y_next = (w[..., None] * rows).sum(axis=-2) / w.sum(axis=-1)[..., None]
         step = y_next - y
-        # vecdot is the dot product np.linalg.norm takes of one vector.
-        stop = np.sqrt(np.vecdot(step, step)) <= tol
+        stop = norms(step) <= tol
         y = y_next
         if return_history:
             frame = y

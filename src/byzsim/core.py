@@ -24,6 +24,7 @@ __all__ = [
     "check_choice",
     "check_choices",
     "field_hints",
+    "norms",
     "normalize",
     "gaussian_vector",
 ]
@@ -86,6 +87,12 @@ def check_choices(obj) -> None:
             check_choice(hint, getattr(obj, name), name, f" in {type(obj).__name__}")
 
 
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of v, or of each row of a (R, d) v, each the
+    square root of the dot product np.linalg.norm takes of one vector."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Rescale v to unit norm; below the eps threshold return the zero
     vector (the server then takes a zero step). A (R, d) array is
@@ -93,9 +100,8 @@ def normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     if eps <= 0:
         raise ConfigError(f"normalize eps must be > 0, got {eps}")
     v = np.asarray(v, dtype=float)
-    # vecdot is the dot product np.linalg.norm takes of one vector.
-    norms = np.sqrt(np.vecdot(v, v))[..., None]
-    return np.divide(v, norms, out=np.zeros_like(v), where=norms > eps)
+    n = norms(v)[..., None]
+    return np.divide(v, n, out=np.zeros_like(v), where=n > eps)
 
 
 def gaussian_vector(rng: RngStream, d: int, variance: float) -> np.ndarray:

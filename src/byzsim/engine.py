@@ -53,6 +53,7 @@ from .core import (
     check_choices,
     gaussian_vector,
     normalize,
+    norms,
 )
 from .objectives import (
     ObjectiveSpec,
@@ -290,12 +291,8 @@ def lockstep_mismatch(a: RunConfig, b: RunConfig) -> str | None:
     return None
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Row norms, each the dot product ``np.linalg.norm`` takes of one vector."""
-    return np.sqrt(np.vecdot(v, v))
-
-
-def _stop(results: list[RunResult], rows, k: int, finals) -> None:
+def _diverge(results: list[RunResult], rows, k: int, finals) -> None:
+    """Flag the results ``rows`` diverged at step k, ending at ``finals``."""
     for r, final in zip(rows, finals):
         results[r].diverged, results[r].divergence_step, results[r].final_x = True, k, final
 
@@ -311,6 +308,8 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
     baselines on fast-growing objectives), and the other rows go on.
     """
     configs = list(configs)
+    if not configs:
+        return []
     for config in configs:
         _validate(config)
     for config in configs[1:]:
@@ -320,8 +319,6 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
                               f"not in {name!r}")
     for config in configs:
         _warn_gamma0(config)
-    if not configs:
-        return []
     head = configs[0]
     spec, G = head.objective, head.n - head.B
     by_seed: dict[int, RunConfig] = {}
@@ -341,8 +338,8 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
     def oracle(x: np.ndarray, base_grad: np.ndarray) -> np.ndarray:
         noise = np.stack([next(stream) for stream in noise_streams])[row_seed[live]]
         grads = base_grad[:, None, :] + noise
-        for r in range(len(x) if labeled else 0):
-            for i, labels, feats in labeled:
+        for i, labels, feats in labeled:
+            for r in range(len(x)):
                 grads[r, i] = gradient_with_labels(spec, x[r], labels, feats=feats) + noise[r, i]
         grads += shifts
         return grads
@@ -362,7 +359,7 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
             states=[x[r].copy()] if capture_states else None,
             aggregates=[] if capture_states else None,
         )
-        for r, (gn, f) in enumerate(zip(_norms(base_grad).tolist(), value(spec, x).tolist()))
+        for r, (gn, f) in enumerate(zip(norms(base_grad).tolist(), value(spec, x).tolist()))
     ]
 
     for k in range(1, head.K + 1):
@@ -384,12 +381,12 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
         direction = np.where(rows_normalized[:, None], normalize(v), v)
         stepped = ~rows_normalized | direction.any(axis=-1)
         x_new = np.where(stepped[:, None], x - gamma[:, None] * direction, x)
-        step_size = np.where(rows_normalized, np.where(stepped, gamma, 0.0), gamma * _norms(v))
+        step_size = np.where(rows_normalized, np.where(stepped, gamma, 0.0), gamma * norms(v))
 
         # Abort before x**4-scale quantities can overflow downstream.
         out = ~np.isfinite(x_new).all(axis=-1) | (np.abs(x_new).max(axis=-1) > 1e25)
         if out.any():
-            _stop(results, live[out], k, x[out])
+            _diverge(results, live[out], k, x[out])
             keep = ~out
             live, x_new, v, base_grad, step_size, momenta, shifts = (
                 a[keep] for a in (live, x_new, v, base_grad, step_size, momenta, shifts))
@@ -402,15 +399,15 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
 
         if k % head.log_every == 0 or k == head.K:
             f_val = value(spec, x)
-            gn = _norms(gradient(spec, x))
+            gn = norms(gradient(spec, x))
             out = ~(np.isfinite(f_val) & np.isfinite(gn))
             if out.any():
-                _stop(results, live[out], k, x[out])
+                _diverge(results, live[out], k, x[out])
                 keep = ~out
                 live, x, v, base_grad, step_size, momenta, shifts, f_val, gn = (
                     a[keep] for a in (live, x, v, base_grad, step_size, momenta, shifts,
                                       f_val, gn))
-            agg_err = _norms(v - base_grad)
+            agg_err = norms(v - base_grad)
             for r, *fields_ in zip(live, gn.tolist(), f_val.tolist(), agg_err.tolist(),
                                    step_size.tolist()):
                 results[r].records.append(TrajectoryRecord(k, *fields_))

@@ -488,17 +488,6 @@ def test_lockstep_rows_diverge_alone():
             False, True, True, False, True]
 
 
-def test_lockstep_rows_share_noise_per_seed():
-    """Rows with one seed draw one stream: same seed, same honest shifts."""
-    configs = lockstep_group("alie", "cwmed", True, "zero", 1,
-                             [(5, 0.02, 0.9, "constant", "byz_nsgdm"),
-                              (6, 0.02, 0.9, "constant", "byz_nsgdm"),
-                              (5, 0.05, 0.5, "constant", "baseline")])
-    a, b, c = run_batch(configs)
-    np.testing.assert_array_equal(a.honest_shifts, c.honest_shifts)
-    assert not np.array_equal(a.honest_shifts, b.honest_shifts)
-
-
 @pytest.mark.parametrize("field,change", [
     ("K", dict(K=6)),
     ("attack", dict(attack=AttackSpec(kind="alie"))),
@@ -510,9 +499,5 @@ def test_lockstep_rejects_rows_that_differ_elsewhere(field, change):
         run_batch([base, replace(base, seed=3, **change)])
 
 
-def test_run_is_a_batch_of_one():
-    cfg = quartic_config(n=8, B=2, rule="krum", nnm=True, attack="alie", K=15,
-                         noise=1e-5, shifts=1e-3, seed=4)
-    [row] = run_batch([cfg])
-    assert row.records == run(cfg).records
+def test_empty_batch_runs_nothing():
     assert run_batch([]) == []
