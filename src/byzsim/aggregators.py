@@ -189,12 +189,10 @@ def geometric_median(
                 frame = out.copy()
                 frame[live] = y
             history.append(frame)
-        if stop.ndim == 0:  # one matrix, one flag
-            if stop:
-                break
-        elif stop.all():
+        stopped = np.count_nonzero(stop)
+        if stopped == stop.size:  # the one matrix, or every row of a block
             break
-        elif stop.any():
+        if stopped:
             live = np.arange(len(out))[live]
             out[live[stop]] = y[stop]
             live, rows, y = live[~stop], rows[~stop], y[~stop]

@@ -275,10 +275,6 @@ def _warn_gamma0(config: RunConfig) -> None:
         )
 
 
-
-
-
-
 def lockstep_mismatch(a: RunConfig, b: RunConfig) -> str | None:
     """The first field outside ``ROW_FIELDS`` in which two configs differ,
     or None when they can run in one lockstep batch."""
@@ -326,21 +322,25 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
         by_seed.setdefault(config.seed, config)
     seed_shifts = [_worker_shifts(config) for config in by_seed.values()]
     noise_streams = [_noise_steps(config, head.K + 1) for config in by_seed.values()]
-    row_seed = np.array([list(by_seed).index(config.seed) for config in configs])
     labeled = _labeled_rows(head)
-    normalized = np.array([config.optimizer == "byz_nsgdm" for config in configs])
 
-    # The rows still running: ``live`` holds each one's index in configs.
+    # The rows still running, one entry each: its index in configs, its
+    # seed's index in by_seed, its optimizer, its shifts and its iterate.
     live = np.arange(len(configs))
+    row_seed = np.array([list(by_seed).index(config.seed) for config in configs])
+    normalized = np.array([config.optimizer == "byz_nsgdm" for config in configs])
     shifts = np.stack(seed_shifts)[row_seed]
     x = np.array([config.x0 for config in configs], dtype=float)
 
     def oracle(x: np.ndarray, base_grad: np.ndarray) -> np.ndarray:
-        noise = np.stack([next(stream) for stream in noise_streams])[row_seed[live]]
-        grads = base_grad[:, None, :] + noise
+        noise = [next(stream) for stream in noise_streams]
+        # One seed's (n, d) noise broadcasts to every row.
+        noise = noise[0] if len(noise) == 1 else np.stack(noise)[row_seed]
+        grads = np.repeat(base_grad[:, None, :], head.n, axis=1)
         for i, labels, feats in labeled:
             for r in range(len(x)):
-                grads[r, i] = gradient_with_labels(spec, x[r], labels, feats=feats) + noise[r, i]
+                grads[r, i] = gradient_with_labels(spec, x[r], labels, feats=feats)
+        grads += noise
         grads += shifts
         return grads
 
@@ -377,19 +377,19 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
         v = aggregate(head.aggregator, sent)
         # The normalized optimizer steps gamma along v/|v|, or not at all
         # on a vanishing aggregate; the baselines step gamma * v.
-        rows_normalized = normalized[live]
-        direction = np.where(rows_normalized[:, None], normalize(v), v)
-        stepped = ~rows_normalized | direction.any(axis=-1)
+        direction = np.where(normalized[:, None], normalize(v), v)
+        stepped = ~normalized | direction.any(axis=-1)
         x_new = np.where(stepped[:, None], x - gamma[:, None] * direction, x)
-        step_size = np.where(rows_normalized, np.where(stepped, gamma, 0.0), gamma * norms(v))
+        step_size = np.where(normalized, np.where(stepped, gamma, 0.0), gamma * norms(v))
 
         # Abort before x**4-scale quantities can overflow downstream.
         out = ~np.isfinite(x_new).all(axis=-1) | (np.abs(x_new).max(axis=-1) > 1e25)
         if out.any():
             _diverge(results, live[out], k, x[out])
             keep = ~out
-            live, x_new, v, base_grad, step_size, momenta, shifts = (
-                a[keep] for a in (live, x_new, v, base_grad, step_size, momenta, shifts))
+            live, row_seed, normalized, shifts, x_new, momenta, v, base_grad, step_size = (
+                a[keep] for a in (live, row_seed, normalized, shifts, x_new, momenta, v,
+                                  base_grad, step_size))
 
         x = x_new
         if capture_states:
@@ -404,9 +404,9 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
             if out.any():
                 _diverge(results, live[out], k, x[out])
                 keep = ~out
-                live, x, v, base_grad, step_size, momenta, shifts, f_val, gn = (
-                    a[keep] for a in (live, x, v, base_grad, step_size, momenta, shifts,
-                                      f_val, gn))
+                (live, row_seed, normalized, shifts, x, momenta, v, base_grad, step_size, f_val,
+                 gn) = (a[keep] for a in (live, row_seed, normalized, shifts, x, momenta, v,
+                                          base_grad, step_size, f_val, gn))
             agg_err = norms(v - base_grad)
             for r, *fields_ in zip(live, gn.tolist(), f_val.tolist(), agg_err.tolist(),
                                    step_size.tolist()):
