@@ -382,8 +382,9 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
         x_new = np.where(stepped[:, None], x - gamma[:, None] * direction, x)
         step_size = np.where(normalized, np.where(stepped, gamma, 0.0), gamma * norms(v))
 
-        # Abort before x**4-scale quantities can overflow downstream.
-        out = ~np.isfinite(x_new).all(axis=-1) | (np.abs(x_new).max(axis=-1) > 1e25)
+        # Abort before x**4-scale quantities can overflow downstream. A NaN
+        # or infinite coordinate fails the bound as well.
+        out = ~(np.abs(x_new).max(axis=-1) <= 1e25)
         if out.any():
             _diverge(results, live[out], k, x[out])
             keep = ~out
