@@ -87,13 +87,17 @@ def check_choices(obj) -> None:
             check_choice(hint, getattr(obj, name), name, f" in {type(obj).__name__}")
 
 
+# The norm below which ``normalize`` returns the zero vector.
+NORM_EPS = 1e-12
+
+
 def norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of v, or of each row of a (R, d) v, each the
     square root of the dot product np.linalg.norm takes of one vector."""
     return np.sqrt(np.vecdot(v, v))
 
 
-def normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     """Rescale v to unit norm; below the eps threshold return the zero
     vector (the server then takes a zero step). A (R, d) array is
     rescaled row by row, each row as it would be alone."""

@@ -15,10 +15,12 @@ schedule and optimizer (``ROW_FIELDS``), so they share the objective,
 the attack and the rule, and every stage takes all rows in one call:
 the iterates are one (R, d) array, the worker state (R, n, d) arrays,
 one row per worker with the G honest rows first: fixed shifts, momenta,
-and this step's stochastic gradients. gamma and eta are per-row vectors,
+and this step's stochastic gradients. Each row's K step sizes are
+tabulated up front (``step_sizes``) beside its fixed momentum weight,
 and a per-row mask picks the normalized or the raw step. A row that
 diverges leaves the batch, as a converged row leaves the batched
-Weiszfeld iteration; the others run on. Each row's arithmetic is the
+Weiszfeld iteration: every per-row array is dropped in one place
+(``_Rows.keep``), and the others run on. Each row's arithmetic is the
 arithmetic of its run alone, so every row's trajectory is bit for bit
 the one ``run`` gives it.
 
@@ -49,10 +51,10 @@ from .attacks import AttackSpec, byzantine_update, shift_labels
 from .core import (
     SHIFT_STREAM,
     ConfigError,
+    NORM_EPS,
     RngStream,
     check_choices,
     gaussian_vector,
-    normalize,
     norms,
 )
 from .objectives import (
@@ -77,13 +79,14 @@ __all__ = [
     "run",
     "run_batch",
     "schedule_values",
+    "step_sizes",
     "gamma0_cap",
 ]
 
 logger = logging.getLogger("byzsim")
 
-# Most steps of oracle noise drawn per worker at once: 64 x n x d floats,
-# about 2 MB at n=20, d=200.
+# Most steps of oracle noise drawn per worker at once: 64 x n x d floats
+# for each distinct seed of a batch, about 2 MB at n=20, d=200.
 NOISE_CHUNK = 64
 # The RunConfig fields in which the rows of one lockstep batch may differ.
 ROW_FIELDS = ("seed", "schedule", "optimizer")
@@ -172,6 +175,14 @@ def schedule_values(s: Schedule, k: int) -> tuple[float, float]:
         gamma = s.gamma0 if k == 0 else s.gamma0 / math.sqrt(k)
         return gamma, eta
     return s.gamma0, eta
+
+
+def step_sizes(s: Schedule, K: int) -> np.ndarray:
+    """gamma_k of ``schedule_values`` for k = 0, ..., K-1, bit for bit."""
+    gamma = np.full(K, schedule_values(s, 0)[0])
+    if s.kind == "practical_decay":
+        gamma[1:] = s.gamma0 / np.sqrt(np.arange(1, K))
+    return gamma
 
 
 def gamma0_cap(L1: float, kappa: float, K: int) -> float:
@@ -287,10 +298,24 @@ def lockstep_mismatch(a: RunConfig, b: RunConfig) -> str | None:
     return None
 
 
-def _diverge(results: list[RunResult], rows, k: int, finals) -> None:
-    """Flag the results ``rows`` diverged at step k, ending at ``finals``."""
-    for r, final in zip(rows, finals):
+class _Rows:
+    """The per-row arrays of the runs still in a lockstep batch, row j of
+    each array belonging to one run; ``keep`` drops rows from all at once."""
+
+    def __init__(self, **arrays: np.ndarray):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.__dict__.update({name: a[mask] for name, a in vars(self).items()})
+
+
+def _diverge(results: list[RunResult], rows: _Rows, out: np.ndarray, k: int,
+             finals: np.ndarray) -> None:
+    """Flag the rows ``out`` diverged at step k, ending at their ``finals``,
+    and drop them from ``rows``."""
+    for r, final in zip(rows.run[out], finals[out]):
         results[r].diverged, results[r].divergence_step, results[r].final_x = True, k, final
+    rows.keep(~out)
 
 
 def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[RunResult]:
@@ -324,98 +349,97 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
     noise_streams = [_noise_steps(config, head.K + 1) for config in by_seed.values()]
     labeled = _labeled_rows(head)
 
-    # The rows still running, one entry each: its index in configs, its
-    # seed's index in by_seed, its optimizer, its shifts and its iterate.
-    live = np.arange(len(configs))
     row_seed = np.array([list(by_seed).index(config.seed) for config in configs])
-    normalized = np.array([config.optimizer == "byz_nsgdm" for config in configs])
-    shifts = np.stack(seed_shifts)[row_seed]
-    x = np.array([config.x0 for config in configs], dtype=float)
+    rows = _Rows(
+        run=np.arange(len(configs)),  # the row's index in configs
+        seed=row_seed,  # its seed's index in by_seed
+        normalized=np.array([config.optimizer == "byz_nsgdm" for config in configs]),
+        gamma=np.stack([step_sizes(config.schedule, head.K) for config in configs]),
+        eta=np.array([schedule_values(config.schedule, 0)[1] for config in configs])[:, None, None],
+        shifts=np.stack(seed_shifts)[row_seed],
+        x=np.array([config.x0 for config in configs], dtype=float),
+    )
 
-    def oracle(x: np.ndarray, base_grad: np.ndarray) -> np.ndarray:
+    def oracle() -> np.ndarray:
         noise = [next(stream) for stream in noise_streams]
         # One seed's (n, d) noise broadcasts to every row.
-        noise = noise[0] if len(noise) == 1 else np.stack(noise)[row_seed]
-        grads = np.repeat(base_grad[:, None, :], head.n, axis=1)
-        for i, labels, feats in labeled:
-            for r in range(len(x)):
-                grads[r, i] = gradient_with_labels(spec, x[r], labels, feats=feats)
-        grads += noise
-        grads += shifts
+        noise = noise[0] if len(noise) == 1 else np.stack(noise)[rows.seed]
+        grads = rows.base_grad[:, None, :] + noise
+        if labeled:
+            noise = np.broadcast_to(noise, grads.shape)
+            for i, labels, feats in labeled:
+                for r, x_r in enumerate(rows.x):
+                    grads[r, i] = gradient_with_labels(spec, x_r, labels, feats=feats) + noise[r, i]
+        grads += rows.shifts
         return grads
 
-    base_grad = gradient(spec, x)
-    grads = oracle(x, base_grad)
+    rows.base_grad = gradient(spec, rows.x)
+    grads = oracle()
     if head.init_momentum == "stochastic_gradient":
-        momenta = grads.copy()
+        rows.momenta = grads.copy()
     else:
-        momenta = np.zeros_like(grads)
+        rows.momenta = np.zeros_like(grads)
 
     results = [
         RunResult(
             records=[TrajectoryRecord(0, gn, f, 0.0, 0.0)],
-            final_x=x[r],
-            honest_shifts=seed_shifts[row_seed[r]][:G],
-            states=[x[r].copy()] if capture_states else None,
+            final_x=x_r,
+            honest_shifts=seed_shifts[s][:G],
+            states=[x_r.copy()] if capture_states else None,
             aggregates=[] if capture_states else None,
         )
-        for r, (gn, f) in enumerate(zip(norms(base_grad).tolist(), value(spec, x).tolist()))
+        for x_r, s, gn, f in zip(rows.x, row_seed, norms(rows.base_grad).tolist(),
+                                 value(spec, rows.x).tolist())
     ]
 
     for k in range(1, head.K + 1):
-        gamma, eta = np.array([schedule_values(configs[r].schedule, k - 1) for r in live]).T
-        base_grad = gradient(spec, x)
-        grads = oracle(x, base_grad)
-        momenta *= (1.0 - eta)[:, None, None]
-        momenta += eta[:, None, None] * grads
+        rows.base_grad = gradient(spec, rows.x)
+        grads = oracle()
+        rows.momenta *= 1.0 - rows.eta
+        rows.momenta += rows.eta * grads
 
-        sent = momenta
+        sent = rows.momenta
         if head.B > 0:
-            byz = byzantine_update(head.attack, k - 1, momenta, grads, G)
-            sent = np.concatenate((momenta[:, :G], byz), axis=1)
+            byz = byzantine_update(head.attack, k - 1, rows.momenta, grads, G)
+            sent = np.concatenate((rows.momenta[:, :G], byz), axis=1)
 
-        v = aggregate(head.aggregator, sent)
+        rows.v = v = aggregate(head.aggregator, sent)
+        rows.v_norm = norms(v)
         # The normalized optimizer steps gamma along v/|v|, or not at all
         # on a vanishing aggregate; the baselines step gamma * v.
-        direction = np.where(normalized[:, None], normalize(v), v)
-        stepped = ~normalized | direction.any(axis=-1)
-        x_new = np.where(stepped[:, None], x - gamma[:, None] * direction, x)
-        step_size = np.where(normalized, np.where(stepped, gamma, 0.0), gamma * norms(v))
+        unit = rows.normalized & (rows.v_norm > NORM_EPS)
+        rows.stepped = unit | ~rows.normalized
+        direction = np.divide(v, rows.v_norm[:, None], out=v.copy(), where=unit[:, None])
+        rows.x_prev, rows.x = rows.x, np.where(
+            rows.stepped[:, None], rows.x - rows.gamma[:, k - 1, None] * direction, rows.x)
 
         # Abort before x**4-scale quantities can overflow downstream. A NaN
         # or infinite coordinate fails the bound as well.
-        out = ~(np.abs(x_new).max(axis=-1) <= 1e25)
+        out = ~(np.abs(rows.x).max(axis=-1) <= 1e25)
         if out.any():
-            _diverge(results, live[out], k, x[out])
-            keep = ~out
-            live, row_seed, normalized, shifts, x_new, momenta, v, base_grad, step_size = (
-                a[keep] for a in (live, row_seed, normalized, shifts, x_new, momenta, v,
-                                  base_grad, step_size))
+            _diverge(results, rows, out, k, rows.x_prev)
 
-        x = x_new
         if capture_states:
-            for r, x_r, v_r in zip(live, x, v):
+            for r, x_r, v_r in zip(rows.run, rows.x, rows.v):
                 results[r].states.append(x_r.copy())
                 results[r].aggregates.append(v_r)
 
         if k % head.log_every == 0 or k == head.K:
-            f_val = value(spec, x)
-            gn = norms(gradient(spec, x))
-            out = ~(np.isfinite(f_val) & np.isfinite(gn))
+            rows.f_val = value(spec, rows.x)
+            rows.grad_norm = norms(gradient(spec, rows.x))
+            out = ~(np.isfinite(rows.f_val) & np.isfinite(rows.grad_norm))
             if out.any():
-                _diverge(results, live[out], k, x[out])
-                keep = ~out
-                (live, row_seed, normalized, shifts, x, momenta, v, base_grad, step_size, f_val,
-                 gn) = (a[keep] for a in (live, row_seed, normalized, shifts, x, momenta, v,
-                                          base_grad, step_size, f_val, gn))
-            agg_err = norms(v - base_grad)
-            for r, *fields_ in zip(live, gn.tolist(), f_val.tolist(), agg_err.tolist(),
-                                   step_size.tolist()):
+                _diverge(results, rows, out, k, rows.x)
+            gamma = rows.gamma[:, k - 1]
+            step_size = np.where(rows.normalized, gamma * rows.stepped, gamma * rows.v_norm)
+            agg_err = norms(rows.v - rows.base_grad)
+            for r, *fields_ in zip(rows.run, rows.grad_norm.tolist(), rows.f_val.tolist(),
+                                   agg_err.tolist(), step_size.tolist()):
                 results[r].records.append(TrajectoryRecord(k, *fields_))
-        if not len(live):
+        if not len(rows.run):
             break
 
-    for r, x_r in zip(live, x):
+    for r, x_r in zip(rows.run, rows.x):
         results[r].final_x = x_r
     return results
 
