@@ -33,8 +33,9 @@ Trajectories are CSV with fixed columns
 significant digits so they round-trip exactly. A sweep runs every
 cell's tuning candidates, then every cell's seeds, each phase as
 lockstep groups of the configs that differ only in seed, schedule and
-optimizer (``run_grouped``); the groups can run in parallel processes.
-Neither changes a byte: every row of a lockstep batch is its run alone,
+optimizer (``run_grouped``); the groups can run in parallel processes,
+a group of more than its share of the phase cut into chunks. Neither
+changes a byte: every row of a lockstep batch is its run alone,
 and every run re-derives its random streams from (seed, stream id).
 """
 
@@ -544,12 +545,13 @@ class SummaryTable:
         return "\n".join(lines)
 
 
-def run_grouped(configs: list[RunConfig], executor: ProcessPoolExecutor | None = None
-                ) -> list[RunResult]:
+def run_grouped(configs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
     """Run every config and return their results in input order. Configs
     that may run in lockstep (``engine.lockstep_mismatch``) form one
-    ``run_batch`` group, in input order; the groups are mapped over
-    ``executor`` when one is given."""
+    ``run_batch`` group, in input order. With ``jobs`` > 1 the groups are
+    mapped over that many worker processes, each group cut into
+    contiguous chunks of at most ceil(len(configs) / jobs) rows, so that
+    a phase of one large group still keeps every worker busy."""
     groups: list[list[int]] = []
     for i, config in enumerate(configs):
         for group in groups:
@@ -558,8 +560,12 @@ def run_grouped(configs: list[RunConfig], executor: ProcessPoolExecutor | None =
                 break
         else:
             groups.append([i])
-    batches = (executor.map if executor else map)(
-        run_batch, [[configs[i] for i in group] for group in groups])
+    if jobs > 1:
+        size = -(-len(configs) // jobs)
+        groups = [group[j:j + size] for group in groups for j in range(0, len(group), size)]
+    batches = [[configs[i] for i in group] for group in groups]
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as executor:
+        batches = list((executor.map if executor else map)(run_batch, batches))
     results: list[RunResult] = [None] * len(configs)
     for group, batch in zip(groups, batches):
         for i, result in zip(group, batch):
@@ -571,7 +577,7 @@ def tune_gamma0(
     configs: list[dict],
     changes: dict,
     grid=DEFAULT_TUNING_GRID,
-    executor: ProcessPoolExecutor | None = None,
+    jobs: int = 1,
 ) -> list[tuple[float, dict[float, float]]]:
     """Run each config dict of ``configs`` with ``changes`` (a short
     prefix) and each candidate gamma0 set, all in one ``run_grouped``
@@ -580,7 +586,7 @@ def tune_gamma0(
     Diverged candidates score infinity."""
     candidates = [parse_config(with_changes(config, {**changes, "schedule.gamma0": g}))
                   for config in configs for g in grid]
-    scores = iter([final_grad_norm(r) for r in run_grouped(candidates, executor)])
+    scores = iter([final_grad_norm(r) for r in run_grouped(candidates, jobs)])
     tuned = []
     for _ in configs:
         table = {g: next(scores) for g in grid}
@@ -601,18 +607,16 @@ def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTa
     # tuning prefix's K then leaves at the cell's.
     cell_dicts = [config_to_dict(cell) for cell, _ in cells]
     prefix = {"seed": seeds[0], "K": manifest.tuning_prefix, "log_every": manifest.tuning_prefix}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as executor:
-        if manifest.tune:
-            gamma0s = [best for best, _ in
-                       tune_gamma0(cell_dicts, prefix, manifest.tuning_grid, executor)]
-        else:
-            gamma0s = [cell.schedule.gamma0 for cell, _ in cells]
-        run_configs = [
-            parse_config(with_changes(d, {"schedule.gamma0": gamma0, "seed": seed}))
-            for d, gamma0 in zip(cell_dicts, gamma0s)
-            for seed in seeds
-        ]
-        results = run_grouped(run_configs, executor)
+    if manifest.tune:
+        gamma0s = [best for best, _ in tune_gamma0(cell_dicts, prefix, manifest.tuning_grid, jobs)]
+    else:
+        gamma0s = [cell.schedule.gamma0 for cell, _ in cells]
+    run_configs = [
+        parse_config(with_changes(d, {"schedule.gamma0": gamma0, "seed": seed}))
+        for d, gamma0 in zip(cell_dicts, gamma0s)
+        for seed in seeds
+    ]
+    results = run_grouped(run_configs, jobs)
 
     table = SummaryTable()
     per_cell = iter(results)

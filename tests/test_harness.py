@@ -223,6 +223,39 @@ def test_sweep_parallel_jobs_identical(tmp_path):
         assert p1.read_bytes() == p2.read_bytes(), p1.name
 
 
+def test_one_lockstep_group_is_cut_over_the_jobs(monkeypatch):
+    """A phase of one lockstep group still gives each of the jobs rows:
+    the group runs as contiguous chunks of at most ceil(N / jobs) rows,
+    whose results are the group's own."""
+    import byzsim.harness as harness
+
+    configs = [parse_config(with_changes(BASE_CONFIG, {"K": 15, "schedule.gamma0": g}))
+               for g in (0.01, 0.02, 0.05, 0.1, 0.2)]
+    batches = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            batches.extend(len(b) for b in items)
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    cut = harness.run_grouped(configs, jobs=2)
+    assert batches == [3, 2]
+    for got, want in zip(cut, harness.run_grouped(configs)):
+        assert got.records == want.records
+        assert (got.final_x == want.final_x).all()
+
+
 def test_sweep_groups_write_the_bytes_of_runs_alone(tmp_path):
     """A sweep whose cells fall into several lockstep groups (a K axis and
     a B axis) writes the same bytes with one process, with two, and from
