@@ -16,7 +16,7 @@ the attack and the rule, and every stage takes all rows in one call:
 the iterates are one (R, d) array, the worker state (R, n, d) arrays,
 one row per worker with the G honest rows first: fixed shifts, momenta,
 and this step's stochastic gradients. Each row's K step sizes are
-tabulated up front (``step_sizes``) beside its fixed momentum weight,
+tabulated up front beside its momentum weight, which is fixed over k,
 and a per-row mask picks the normalized or the raw step. A row that
 diverges leaves the batch, as a converged row leaves the batched
 Weiszfeld iteration: every per-row array is dropped in one place
@@ -79,7 +79,6 @@ __all__ = [
     "run",
     "run_batch",
     "schedule_values",
-    "step_sizes",
     "gamma0_cap",
 ]
 
@@ -175,14 +174,6 @@ def schedule_values(s: Schedule, k: int) -> tuple[float, float]:
         gamma = s.gamma0 if k == 0 else s.gamma0 / math.sqrt(k)
         return gamma, eta
     return s.gamma0, eta
-
-
-def step_sizes(s: Schedule, K: int) -> np.ndarray:
-    """gamma_k of ``schedule_values`` for k = 0, ..., K-1, bit for bit."""
-    gamma = np.full(K, schedule_values(s, 0)[0])
-    if s.kind == "practical_decay":
-        gamma[1:] = s.gamma0 / np.sqrt(np.arange(1, K))
-    return gamma
 
 
 def gamma0_cap(L1: float, kappa: float, K: int) -> float:
@@ -354,7 +345,10 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
         run=np.arange(len(configs)),  # the row's index in configs
         seed=row_seed,  # its seed's index in by_seed
         normalized=np.array([config.optimizer == "byz_nsgdm" for config in configs]),
-        gamma=np.stack([step_sizes(config.schedule, head.K) for config in configs]),
+        # Each row's K step sizes and its momentum weight, which no
+        # schedule varies over k.
+        gamma=np.array([[schedule_values(config.schedule, k)[0] for k in range(head.K)]
+                        for config in configs]),
         eta=np.array([schedule_values(config.schedule, 0)[1] for config in configs])[:, None, None],
         shifts=np.stack(seed_shifts)[row_seed],
         x=np.array([config.x0 for config in configs], dtype=float),

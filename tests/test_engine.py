@@ -19,7 +19,6 @@ from byzsim.engine import (
     run,
     run_batch,
     schedule_values,
-    step_sizes,
 )
 from byzsim.harness import write_trajectory_csv
 from byzsim.objectives import (
@@ -89,16 +88,6 @@ def test_constant_schedule_values():
     s = Schedule(kind="constant", gamma0=0.1, momentum_beta=0.3)
     for k in (0, 1, 100):
         assert schedule_values(s, k) == (0.1, pytest.approx(0.7))
-
-
-@pytest.mark.parametrize("s", [
-    Schedule(kind="theoretical", gamma0=0.7, horizon=99),
-    Schedule(kind="practical_decay", gamma0=0.3, momentum_beta=0.5),
-    Schedule(kind="constant", gamma0=0.1),
-])
-def test_step_sizes_are_schedule_values_bit_for_bit(s):
-    assert step_sizes(s, 500).tolist() == [schedule_values(s, k)[0] for k in range(500)]
-    assert step_sizes(s, 1).tolist() == [schedule_values(s, 0)[0]]
 
 
 def test_gamma0_cap_examples():
