@@ -7,7 +7,7 @@ for the underlying smoothness and robustness properties.
 
 from .aggregators import AggregatorSpec, aggregate, theoretical_kappa
 from .attacks import AttackSpec
-from .core import ConfigError, RngStream, normalize
+from .core import ConfigError, RngStream
 from .engine import RunConfig, Schedule, TrajectoryRecord, gamma0_cap, run
 from .objectives import ObjectiveSpec, OracleConfig, SmoothnessMeta
 
@@ -24,7 +24,6 @@ __all__ = [
     "TrajectoryRecord",
     "aggregate",
     "gamma0_cap",
-    "normalize",
     "run",
     "theoretical_kappa",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "check_choices",
     "field_hints",
     "norms",
-    "normalize",
     "gaussian_vector",
 ]
 
@@ -87,7 +86,7 @@ def check_choices(obj) -> None:
             check_choice(hint, getattr(obj, name), name, f" in {type(obj).__name__}")
 
 
-# The norm below which ``normalize`` returns the zero vector.
+# The norm below which the normalized optimizer takes a zero step.
 NORM_EPS = 1e-12
 
 
@@ -95,17 +94,6 @@ def norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of v, or of each row of a (R, d) v, each the
     square root of the dot product np.linalg.norm takes of one vector."""
     return np.sqrt(np.vecdot(v, v))
-
-
-def normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Rescale v to unit norm; below the eps threshold return the zero
-    vector (the server then takes a zero step). A (R, d) array is
-    rescaled row by row, each row as it would be alone."""
-    if eps <= 0:
-        raise ConfigError(f"normalize eps must be > 0, got {eps}")
-    v = np.asarray(v, dtype=float)
-    n = norms(v)[..., None]
-    return np.divide(v, n, out=np.zeros_like(v), where=n > eps)
 
 
 def gaussian_vector(rng: RngStream, d: int, variance: float) -> np.ndarray:

@@ -22,7 +22,9 @@ diverges leaves the batch, as a converged row leaves the batched
 Weiszfeld iteration: every per-row array is dropped in one place
 (``_Rows.keep``), and the others run on. Each row's arithmetic is the
 arithmetic of its run alone, so every row's trajectory is bit for bit
-the one ``run`` gives it.
+the one ``run`` gives it. The exact gradient is taken once per iterate,
+right after the step (``next_grad``, dropped with its row): the log line
+reads its norm and the next step's oracle adds noise to it.
 
 A worker's oracle draw is ``(gradient + noise) + shift``, row-wise over
 the whole array. Worker i's noise comes from its own stream
@@ -76,6 +78,7 @@ __all__ = [
     "RunResult",
     "ROW_FIELDS",
     "lockstep_mismatch",
+    "validate",
     "run",
     "run_batch",
     "schedule_values",
@@ -189,7 +192,8 @@ def gamma0_cap(L1: float, kappa: float, K: int) -> float:
     )
 
 
-def _validate(config: RunConfig) -> None:
+def validate(config: RunConfig) -> None:
+    """Raise ConfigError unless ``config`` can run."""
     check_choices(config)
     # AggregatorSpec checks 0 <= B < n/2 for the (n, B) it is built with.
     if config.aggregator.n != config.n or config.aggregator.B != config.B:
@@ -206,8 +210,21 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("label_flip requires a classification objective")
     if config.objective.is_classification and config.objective.n_workers < config.n:
         raise ConfigError("softmax objective must be sized for at least n workers")
-    if config.oracle.labels is not None and len(config.oracle.labels) != config.n:
+    table = config.oracle.labels
+    if table is None:
+        return
+    # One row per worker, each one label in [0, n_classes) per shard sample.
+    if len(table) != config.n:
         raise ConfigError(f"oracle.labels needs one row per worker, {config.n} rows")
+    m, C = config.objective.samples_per_worker, config.objective.n_classes
+    for i, row in enumerate(table):
+        if len(row) != m:
+            raise ConfigError(f"'labels' in oracle: row {i} has {len(row)} labels, "
+                              f"expected samples_per_worker = {m}")
+        bad = [v for v in row if not 0 <= v < C]
+        if bad:
+            raise ConfigError(f"'labels' in oracle: row {i} has label {bad[0]}, "
+                              f"expected 0 <= label < n_classes = {C}")
 
 
 def _worker_shifts(config: RunConfig) -> np.ndarray:
@@ -323,7 +340,7 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
     if not configs:
         return []
     for config in configs:
-        _validate(config)
+        validate(config)
     for config in configs[1:]:
         name = lockstep_mismatch(configs[0], config)
         if name is not None:
@@ -367,7 +384,7 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
         grads += rows.shifts
         return grads
 
-    rows.base_grad = gradient(spec, rows.x)
+    rows.base_grad = rows.next_grad = gradient(spec, rows.x)
     grads = oracle()
     if head.init_momentum == "stochastic_gradient":
         rows.momenta = grads.copy()
@@ -387,7 +404,7 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
     ]
 
     for k in range(1, head.K + 1):
-        rows.base_grad = gradient(spec, rows.x)
+        rows.base_grad = rows.next_grad
         grads = oracle()
         rows.momenta *= 1.0 - rows.eta
         rows.momenta += rows.eta * grads
@@ -412,15 +429,19 @@ def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[Ru
         out = ~(np.abs(rows.x).max(axis=-1) <= 1e25)
         if out.any():
             _diverge(results, rows, out, k, rows.x_prev)
+            if not len(rows.run):
+                break
 
         if capture_states:
             for r, x_r, v_r in zip(rows.run, rows.x, rows.v):
                 results[r].states.append(x_r.copy())
                 results[r].aggregates.append(v_r)
 
+        # The one exact gradient at x^k: the log's and the next step's.
+        rows.next_grad = gradient(spec, rows.x)
         if k % head.log_every == 0 or k == head.K:
             rows.f_val = value(spec, rows.x)
-            rows.grad_norm = norms(gradient(spec, rows.x))
+            rows.grad_norm = norms(rows.next_grad)
             out = ~(np.isfinite(rows.f_val) & np.isfinite(rows.grad_norm))
             if out.any():
                 _diverge(results, rows, out, k, rows.x)

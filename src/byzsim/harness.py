@@ -67,6 +67,7 @@ from .engine import (  # noqa: F401
     lockstep_mismatch,
     run,
     run_batch,
+    validate,
 )
 
 __all__ = [
@@ -314,9 +315,14 @@ def _load(path, parse):
 
 
 def load_config(path, changes: dict | None = None) -> RunConfig:
-    """Parse a run config file with ``changes`` set (``with_changes``);
-    errors carry ``file:line``."""
-    return _load(path, lambda d: parse_config(with_changes(d, changes or {})))
+    """Parse a run config file with ``changes`` set (``with_changes``) and
+    check that it can run (``engine.validate``); errors carry ``file:line``."""
+    def parse(d: dict) -> RunConfig:
+        config = parse_config(with_changes(d, changes or {}))
+        validate(config)
+        return config
+
+    return _load(path, parse)
 
 
 def load_manifest(path) -> "ExperimentManifest":

@@ -18,6 +18,17 @@ array, centered so that its rows sum to zero and the oracle stays
 unbiased. The local objective of a worker with shift s is read as
 f_i(x) = f(x) + <s, x>, which makes the shifted oracle an exact
 stochastic gradient of f_i.
+
+The softmax arithmetic runs class-major. The logits are computed as
+(N, C) rows, ``feats @ w.T``, and copied to a contiguous (C, N) array, so
+that the max, subtract, exp, sum and divide each run over N-long rows
+instead of numpy's 10-long inner loops over each sample's C classes. The
+sum over classes reproduces, row by row, the order in which numpy's
+pairwise sum adds a C-long row (``_class_sum``), so the result equals the
+row-major ``sum(axis=1)`` bit for bit. The probabilities are copied back
+to (N, C) rows before the final ``probs.T @ feats``: the same product
+taken from the (C, N) array rounds differently in some draws, most likely
+because OpenBLAS takes another path for small matrices.
 """
 
 from __future__ import annotations
@@ -37,9 +48,7 @@ __all__ = [
     "value",
     "gradient",
     "make_shifts",
-    "stochastic_gradient",
     "default_smoothness",
-    "local_gradient",
     "softmax_dataset",
     "worker_shard",
     "gradient_with_labels",
@@ -161,13 +170,45 @@ def value(spec: ObjectiveSpec, x: np.ndarray):
     return float(out) if x.ndim == 1 else out
 
 
+def _shifted_logits(spec: ObjectiveSpec, x: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """The (C, N) class-major logits of the flattened weight matrix x on
+    the (N, F) feature rows, each column less its maximum."""
+    z = np.ascontiguousarray((feats @ x.reshape(spec.n_classes, spec.feature_dim).T).T)
+    z -= np.maximum.reduce(z, axis=0)
+    return z
+
+
+def _class_sum(z: np.ndarray) -> np.ndarray:
+    """The sum of the C rows of a nonnegative (C, N) array, each column
+    bit for bit ``z.T.sum(axis=1)``: the rows are added in the order of
+    numpy's pairwise sum over a C-long row. Below 8 terms that is one
+    running sum; up to 128, 8 running sums over every eighth term, joined
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the terms left over;
+    above 128, the two halves (the first a multiple of 8 long) apart."""
+    C = len(z)
+    if C > 128:
+        half = C // 2 - C // 2 % 8
+        return _class_sum(z[:half]) + _class_sum(z[half:])
+    if C < 8:
+        s = z[0].copy()
+        rest = z[1:]
+    else:
+        r = z[:8].copy()
+        for i in range(8, C - C % 8, 8):
+            r += z[i:i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = z[C - C % 8:]
+    for row in rest:
+        s += row
+    return s
+
+
 def _softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     """Mean cross-entropy at the flattened weight matrix x."""
     feats, labels = softmax_dataset(spec)
-    logits = feats @ x.reshape(spec.n_classes, spec.feature_dim).T
-    logits -= logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(logits).sum(axis=1))
-    return float(np.mean(logz - logits[np.arange(len(labels)), labels]))
+    z = _shifted_logits(spec, x, feats)
+    logz = np.log(_class_sum(np.exp(z)))
+    return float(np.mean(logz - z[labels, np.arange(len(labels))]))
 
 
 def gradient(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
@@ -200,12 +241,18 @@ def gradient_with_labels(
     if feats is None:
         feats = softmax_dataset(spec)[0]
     labels = np.asarray(labels)
-    w = x.reshape(spec.n_classes, spec.feature_dim)
-    logits = feats @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs[np.arange(len(labels)), labels] -= 1.0
+    if len(labels) != len(feats):
+        raise ConfigError(f"{len(labels)} labels for {len(feats)} feature rows")
+    if labels.min() < 0 or labels.max() >= spec.n_classes:
+        raise ConfigError(f"labels must lie in [0, {spec.n_classes})")
+    z = _shifted_logits(spec, x, feats)
+    np.exp(z, out=z)
+    z /= _class_sum(z)
+    # Back to (N, C) rows: the final matmul on the (C, N) array itself
+    # rounds differently.
+    probs = np.ascontiguousarray(z.T)
+    # Row i's entry for its label sits at i*C + label of the flat rows.
+    probs.reshape(-1)[np.arange(len(labels)) * spec.n_classes + labels] -= 1.0
     return (probs.T @ feats).ravel() / len(labels)
 
 
@@ -217,24 +264,6 @@ def make_shifts(rng: RngStream, G: int, d: int, shift_variance: float) -> np.nda
         raise ConfigError(f"need G >= 1, got {G}")
     raw = gaussian_vector(rng, G * d, shift_variance).reshape(G, d)
     return raw - raw.mean(axis=0)
-
-
-def stochastic_gradient(
-    spec: ObjectiveSpec,
-    x: np.ndarray,
-    shift: np.ndarray,
-    rng: RngStream,
-    noise_variance: float,
-) -> np.ndarray:
-    """Honest oracle draw: exact gradient plus Gaussian noise plus the
-    worker's fixed shift. The engine draws all workers' values at once as
-    (n, d) arrays; this one-worker form is the reference it is tested
-    against."""
-    return gradient(spec, x) + gaussian_vector(rng, spec.dim, noise_variance) + shift
-
-
-def local_gradient(spec: ObjectiveSpec, x: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    return gradient(spec, x) + shift
 
 
 def default_smoothness(spec: ObjectiveSpec) -> SmoothnessMeta:

@@ -1,4 +1,5 @@
-"""Test-only reference: the engine's loop for one run at a time.
+"""Test-only references: the engine's loop for one run at a time, the
+one-worker oracle, and the row-major softmax arithmetic.
 
 ``reference_run`` steps a single config with (n, d) worker arrays and a
 ``break`` on divergence, as ``engine.run`` did before the engine gained
@@ -6,6 +7,12 @@ its leading run axis. It shares the engine's stream, shift and label
 helpers, so a test comparing the two checks the lockstep arithmetic and
 the per-row bookkeeping: every row of ``engine.run_batch`` must equal
 this loop's result for that config alone, bit for bit.
+
+``stochastic_gradient`` is one worker's oracle draw, which the engine
+draws for all workers at once. ``reference_gradient_with_labels`` and
+``reference_softmax_value`` are the softmax gradient and value in their
+row-major (N, C) form, before ``objectives`` went class-major; every
+output of the class-major code must equal theirs bit for bit.
 """
 
 import math
@@ -20,20 +27,82 @@ from byzsim.engine import (
     TrajectoryRecord,
     _labeled_rows,
     _noise_steps,
-    _validate,
     _worker_shifts,
     schedule_values,
+    validate,
 )
-from byzsim.objectives import gradient, gradient_with_labels, value
+from byzsim.core import NORM_EPS, ConfigError, RngStream, gaussian_vector, norms
+from byzsim.objectives import (
+    ObjectiveSpec,
+    gradient,
+    gradient_with_labels,
+    softmax_dataset,
+    value,
+)
 
 
-def _normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    return v / n if n > eps else np.zeros_like(v)
+def normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+    """Rescale v to unit norm; below the eps threshold return the zero
+    vector (the server then takes a zero step). A (R, d) array is
+    rescaled row by row, each row as it would be alone."""
+    if eps <= 0:
+        raise ConfigError(f"normalize eps must be > 0, got {eps}")
+    v = np.asarray(v, dtype=float)
+    n = norms(v)[..., None]
+    return np.divide(v, n, out=np.zeros_like(v), where=n > eps)
+
+
+def stochastic_gradient(
+    spec: ObjectiveSpec,
+    x: np.ndarray,
+    shift: np.ndarray,
+    rng: RngStream,
+    noise_variance: float,
+) -> np.ndarray:
+    """Honest oracle draw: exact gradient plus Gaussian noise plus the
+    worker's fixed shift."""
+    return gradient(spec, x) + gaussian_vector(rng, spec.dim, noise_variance) + shift
+
+
+def local_gradient(spec: ObjectiveSpec, x: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    return gradient(spec, x) + shift
+
+
+def reference_softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
+    """Mean cross-entropy at the flattened weight matrix x."""
+    feats, labels = softmax_dataset(spec)
+    logits = feats @ x.reshape(spec.n_classes, spec.feature_dim).T
+    logits -= logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(logits).sum(axis=1))
+    return float(np.mean(logz - logits[np.arange(len(labels)), labels]))
+
+
+def reference_gradient_with_labels(
+    spec: ObjectiveSpec,
+    x: np.ndarray,
+    labels: np.ndarray,
+    feats: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mean cross-entropy gradient over the given (features, labels) rows.
+
+    Used both for the clean gradient and for label-flipped variants.
+    """
+    if spec.kind != "softmax":
+        raise ConfigError("gradient_with_labels only applies to softmax objectives")
+    if feats is None:
+        feats = softmax_dataset(spec)[0]
+    labels = np.asarray(labels)
+    w = x.reshape(spec.n_classes, spec.feature_dim)
+    logits = feats @ w.T
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(len(labels)), labels] -= 1.0
+    return (probs.T @ feats).ravel() / len(labels)
 
 
 def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:
-    _validate(config)
+    validate(config)
     spec = config.objective
     G = config.n - config.B
     shifts = _worker_shifts(config)
@@ -81,7 +150,7 @@ def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:
 
         v = aggregate(config.aggregator, sent)
         if config.optimizer == "byz_nsgdm":
-            direction = _normalize(v)
+            direction = normalize(v)
             stepped = bool(direction.any())
             x_new = x - gamma * direction if stepped else x
             step_size = gamma if stepped else 0.0

@@ -100,6 +100,23 @@ def test_misspelled_optimizer_reports_line(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_bad_label_table_reports_line(tmp_path, capsys):
+    """``byzsim run`` checks an ``oracle.labels`` table when it loads the
+    config, and points at the table's line."""
+    config = {**CONFIG, "n": 2, "B": 0, "attack": {"kind": "none"},
+              "aggregator": {"rule": "mean"}, "x0": "zeros",
+              "objective": {"kind": "softmax", "dim": 8, "n_classes": 4, "feature_dim": 2,
+                            "samples_per_worker": 3, "n_workers": 2},
+              "oracle": {"labels": [[0, 1, 2], [3, 7, 0]]}}
+    path = write(tmp_path, config)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
+                if '"labels"' in row)
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"config.json:{line}: 'labels' in oracle: row 1 has label 7"
+            in capsys.readouterr().err)
+
+
 def test_cli_import_loads_no_scipy():
     """A fresh interpreter that imports the CLI has no scipy module loaded."""
     code = "import sys, byzsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -7,8 +7,8 @@ from byzsim.core import (
     ConfigError,
     RngStream,
     gaussian_vector,
-    normalize,
 )
+from reference_engine import normalize
 
 
 def test_normalize_unit():

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -354,6 +355,31 @@ def test_worker_label_table_override():
     again = run(softmax_config(attack=AttackSpec(kind="none"),
                                oracle=OracleConfig(noise_variance=1e-4, labels=table)))
     assert again.records == with_table.records
+
+
+def _table_with_row_2(row):
+    """The dataset's own label table with worker 2's row replaced."""
+    from byzsim.objectives import softmax_dataset, worker_shard
+
+    labels = softmax_dataset(SOFTMAX_SPEC)[1]
+    table = [tuple(int(v) for v in labels[worker_shard(SOFTMAX_SPEC, i)]) for i in range(6)]
+    table[2] = row
+    return tuple(table)
+
+
+@pytest.mark.parametrize("row,message", [
+    ((0,) * 5, "row 2 has 5 labels, expected samples_per_worker = 10"),
+    ((0,) * 9 + (-1,), "row 2 has label -1, expected 0 <= label < n_classes = 4"),
+    ((0,) * 9 + (7,), "row 2 has label 7, expected 0 <= label < n_classes = 4"),
+], ids=["short_row", "negative_label", "label_past_classes"])
+def test_label_table_rows_are_validated(row, message):
+    """A label table row needs one label in [0, n_classes) per shard
+    sample: a short row would average the wrong rows, -1 would wrap to the
+    last class and 7 would index past the classes."""
+    config = softmax_config(oracle=OracleConfig(noise_variance=1e-4,
+                                                labels=_table_with_row_2(row)))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run(config)
 
 
 def test_label_flip_uses_table_rows_when_given():

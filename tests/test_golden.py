@@ -24,12 +24,8 @@ from byzsim.cli import main
 from byzsim.core import SHIFT_STREAM, RngStream
 from byzsim.engine import run, schedule_values
 from byzsim.harness import ExperimentManifest, parse_config, run_sweep, write_trajectory_csv
-from byzsim.objectives import (
-    make_shifts,
-    softmax_dataset,
-    stochastic_gradient,
-    worker_shard,
-)
+from byzsim.objectives import make_shifts, softmax_dataset, worker_shard
+from reference_engine import stochastic_gradient
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,6 +65,21 @@ SOFTMAX = {
 }
 
 
+# The benchmark's softmax shape (10 classes x 20 features, n=20, B=3),
+# which takes numpy's 8-accumulator branch of the row sums over classes.
+SOFTMAX_10_CLASSES = {
+    **SOFTMAX,
+    "objective": {"kind": "softmax", "dim": 200, "n_classes": 10, "feature_dim": 20,
+                  "feature_seed": 2, "samples_per_worker": 50, "n_workers": 20},
+    "n": 20,
+    "B": 3,
+    "attack": {"kind": "label_flip"},
+    "schedule": {"kind": "practical_decay", "gamma0": 0.5, "momentum_beta": 0.9},
+    "K": 30,
+    "log_every": 10,
+}
+
+
 def _label_table() -> list[list[int]]:
     spec = parse_config(SOFTMAX).objective
     labels = softmax_dataset(spec)[1]
@@ -99,6 +110,8 @@ def golden_config(name: str) -> dict:
         return {**QUARTIC, "B": 0, "attack": {"kind": "none"}}
     if family == "softmax_label_flip":
         return {**SOFTMAX, "aggregator": {"rule": variant, "nnm": True}}
+    if name == "softmax_10_classes":
+        return SOFTMAX_10_CLASSES
     if family == "softmax_labels_table":
         return {**SOFTMAX, "attack": {"kind": variant, "label_shift": 2},
                 "oracle": {"noise_variance": 1e-4, "labels": _label_table()}}
@@ -130,6 +143,7 @@ GOLDEN = {
     "softmax_label_flip:gm": "d724da66a331a0f6dabbe4e93d08ee86092b3b7e14f93496f6c0acaccf672dba",
     "softmax_label_flip:krum": "85c90e2e19da251ec9e6adb0cc0d420e36617b2f0d07731573cfc658b15082d4",
     "softmax_label_flip:cwmed": "18ef1a80ba270283c31c7229b0d7cd07d537a0ea1fd254625fcbab96c3109773",
+    "softmax_10_classes": "1042920e786fde8cf9efe4f10bb8039cd396f90f5d0a341fd3921224e36617f7",
     "softmax_labels_table:none": "0397ab528872079e365bdfa10f3014e2a33d389d00b3b4cafc0f47e92d965b99",
     "softmax_labels_table:label_flip": "7ba88c4f64b23864fb9410427174a35f9006a707f3e124ce75ffc06e6a83626a",
 }

@@ -2,19 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from byzsim.core import ConfigError, RngStream
 from byzsim.objectives import (
     ObjectiveSpec,
+    _class_sum,
     default_smoothness,
     gradient,
     gradient_with_labels,
-    local_gradient,
     make_shifts,
     softmax_dataset,
-    stochastic_gradient,
     value,
     worker_shard,
+)
+from reference_engine import (
+    local_gradient,
+    reference_gradient_with_labels,
+    reference_softmax_value,
+    stochastic_gradient,
 )
 
 QUARTIC = ObjectiveSpec(kind="quartic", dim=10)
@@ -193,6 +200,51 @@ def test_softmax_flipped_labels_change_gradient():
     g = gradient_with_labels(SOFTMAX, x, labels)
     g_flipped = gradient_with_labels(SOFTMAX, x, (labels + 1) % 4)
     assert np.linalg.norm(g - g_flipped) > 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_classes=st.integers(2, 17), feature_dim=st.integers(1, 20), rows=st.integers(1, 600),
+       workers=st.integers(1, 4), shard=st.booleans(), label_shift=st.integers(0, 16),
+       scale=st.just(0.0) | st.floats(1e-3, 100.0), seed=st.integers(0, 2**32 - 1))
+@example(n_classes=10, feature_dim=20, rows=600, workers=4, shard=False, label_shift=3,
+         scale=30.0, seed=0)
+@example(n_classes=16, feature_dim=3, rows=7, workers=1, shard=True, label_shift=0,
+         scale=1e-3, seed=1)
+def test_class_major_softmax_equals_row_major(n_classes, feature_dim, rows, workers, shard,
+                                              label_shift, scale, seed):
+    """The class-major gradient and value equal the row-major reference
+    bit for bit: below 8 classes (one running sum), from 8 to 15 (8 sums)
+    and from 16 (8 sums over two rounds), on the full data and on one
+    worker's shard, with true and shifted labels, at x = 0 and at scales
+    1e-3 to 100."""
+    spec = ObjectiveSpec(kind="softmax", dim=n_classes * feature_dim, n_classes=n_classes,
+                         feature_dim=feature_dim, feature_seed=seed % 1000,
+                         samples_per_worker=max(1, rows // workers), n_workers=workers)
+    feats, labels = softmax_dataset(spec)
+    if shard:
+        rows_ = worker_shard(spec, seed % workers)
+        feats, labels = feats[rows_], labels[rows_]
+    labels = (labels + label_shift) % n_classes
+    x = RngStream(seed, 1).normal(spec.dim, std=scale)
+    assert np.array_equal(gradient_with_labels(spec, x, labels, feats=feats),
+                          reference_gradient_with_labels(spec, x, labels, feats=feats))
+    assert value(spec, x) == reference_softmax_value(spec, x)
+
+
+@pytest.mark.parametrize("C", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 200, 257, 1000])
+def test_class_sum_adds_in_numpys_pairwise_order(C):
+    """``_class_sum`` of a (C, N) array equals numpy's sum over each
+    C-long row of its (N, C) transpose bit for bit, past the 128-term
+    block where numpy's pairwise sum splits the row in two."""
+    z = np.exp(RngStream(C, 0).normal(C * 50, std=5.0)).reshape(C, 50)
+    assert np.array_equal(_class_sum(z), np.ascontiguousarray(z.T).sum(axis=1))
+
+
+def test_gradient_with_labels_needs_one_label_per_feature_row():
+    feats, labels = softmax_dataset(SOFTMAX)
+    x = RngStream(2, 0).normal(12)
+    with pytest.raises(ConfigError, match="14 labels for 15 feature rows"):
+        gradient_with_labels(SOFTMAX, x, labels[:14], feats=feats[:15])
 
 
 def test_spec_validation():

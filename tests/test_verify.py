@@ -14,7 +14,6 @@ from byzsim.objectives import (
     SmoothnessMeta,
     default_smoothness,
     gradient,
-    local_gradient,
     make_shifts,
 )
 from byzsim.verify import (
@@ -30,6 +29,7 @@ from byzsim.verify import (
     check_robustness,
     heterogeneity,
 )
+from reference_engine import local_gradient
 
 QUARTIC = ObjectiveSpec(kind="quartic", dim=10)
 
