@@ -9,10 +9,12 @@ exactly the scheduled gamma (or zero when the aggregate vanishes);
 the two baselines step with the raw aggregate and may diverge on
 rapidly-growing objectives, which the run reports rather than raises.
 
-``run_batch`` steps R runs in lockstep along a leading run axis, and
-``run`` is ``run_batch`` with one row. The rows may differ only in seed,
-schedule and optimizer (``ROW_FIELDS``), so they share the objective,
-the attack and the rule, and every stage takes all rows in one call:
+``run_batch`` runs any list of configs. It groups those that agree
+outside seed, schedule and optimizer (``ROW_FIELDS``), first-fit in
+input order, and steps each group's R runs in lockstep along a leading
+run axis; ``run`` is ``run_batch`` with one config. The rows of a group
+share the objective, the attack and the rule, and every stage takes all
+rows in one call:
 the iterates are one (R, d) array, the worker state (R, n, d) arrays,
 one row per worker with the G honest rows first: fixed shifts, momenta,
 and this step's stochastic gradients. Each row's K step sizes are
@@ -76,8 +78,6 @@ __all__ = [
     "RunConfig",
     "TrajectoryRecord",
     "RunResult",
-    "ROW_FIELDS",
-    "lockstep_mismatch",
     "validate",
     "run",
     "run_batch",
@@ -294,16 +294,16 @@ def _warn_gamma0(config: RunConfig) -> None:
         )
 
 
-def lockstep_mismatch(a: RunConfig, b: RunConfig) -> str | None:
-    """The first field outside ``ROW_FIELDS`` in which two configs differ,
-    or None when they can run in one lockstep batch."""
+def _lockstep(a: RunConfig, b: RunConfig) -> bool:
+    """Whether two configs agree outside ``ROW_FIELDS``, and so can run
+    in one lockstep batch."""
     for f in fields(RunConfig):
         if f.name in ROW_FIELDS:
             continue
         u, v = getattr(a, f.name), getattr(b, f.name)
         if not (np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v):
-            return f.name
-    return None
+            return False
+    return True
 
 
 class _Rows:
@@ -327,27 +327,38 @@ def _diverge(results: list[RunResult], rows: _Rows, out: np.ndarray, k: int,
 
 
 def run_batch(configs: list[RunConfig], capture_states: bool = False) -> list[RunResult]:
-    """Execute K iterations of every config in lockstep and return one
-    trajectory log per config, each bit for bit the log of its run alone.
+    """Execute K iterations of every config and return one result per
+    config, in input order, each bit for bit the result of its run alone.
 
-    The configs may differ only in ``ROW_FIELDS``; any other difference
-    raises ConfigError naming the field. A non-finite iterate or objective
-    value stops that row: its result is flagged diverged and keeps every
-    record up to the last finite point (expected for the unnormalized
-    baselines on fast-growing objectives), and the other rows go on.
+    Configs that agree outside ``ROW_FIELDS`` step as one lockstep batch;
+    the batches are formed first-fit in input order. A non-finite iterate
+    or objective value stops that row: its result is flagged diverged and
+    keeps every record up to the last finite point (expected for the
+    unnormalized baselines on fast-growing objectives), and the other rows
+    go on.
     """
     configs = list(configs)
-    if not configs:
-        return []
     for config in configs:
         validate(config)
-    for config in configs[1:]:
-        name = lockstep_mismatch(configs[0], config)
-        if name is not None:
-            raise ConfigError(f"lockstep runs may differ only in {', '.join(ROW_FIELDS)}, "
-                              f"not in {name!r}")
-    for config in configs:
         _warn_gamma0(config)
+    groups: list[list[int]] = []
+    for i, config in enumerate(configs):
+        for group in groups:
+            if _lockstep(configs[group[0]], config):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    results: list[RunResult] = [None] * len(configs)
+    for group in groups:
+        for i, result in zip(group, _run_lockstep([configs[i] for i in group], capture_states)):
+            results[i] = result
+    return results
+
+
+def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunResult]:
+    """``run_batch`` of configs that agree outside ``ROW_FIELDS``: one
+    lockstep batch, one row per config."""
     head = configs[0]
     spec, G = head.objective, head.n - head.B
     by_seed: dict[int, RunConfig] = {}

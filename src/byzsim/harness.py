@@ -10,9 +10,10 @@ for a float; an enumerated field takes one of the names its
 entry or else the dataclass default. ``config_to_dict`` walks the same
 fields back out.
 
-``parse_config`` is the one place a ``RunConfig`` is built from data.
-Every sweep cell, tuning candidate and run is a config dict with some
-paths set (``with_changes``) and parsed again, so the fields derived from
+``parse_config`` is the one place a ``RunConfig`` is built from data,
+and it returns only configs that can run (``engine.validate``). Every
+sweep cell, tuning candidate and run is a config dict with some paths
+set (``with_changes``) and parsed again, so the fields derived from
 others follow them: a theoretical horizon follows K, and the aggregator's
 (n, B) follow the run's.
 
@@ -24,19 +25,21 @@ sweep key is itself a config path, top-level (``"K"``, ``"B"``) or dotted
 ``configs/ablation.json`` are the paper's benchmark matrix and its
 momentum x step-size ablation. Each axis value is checked at load by
 parsing the base with that one value set, then every cell is built, so
-values that are valid alone but not together (an ``n`` and a ``B``) fail
-at load too. Two entries of one axis that would give cells the same
-name, and so the same output directory, are rejected.
+values that cannot run (``label_flip`` over a quartic base) or that are
+valid alone but not together (an ``n`` and a ``B``) fail at load too.
+Two entries of one axis that would give cells the same name, and so the
+same output directory, are rejected.
 
 Trajectories are CSV with fixed columns
 ``k,grad_norm,f_value,agg_error,step_size`` and floats rendered with 17
 significant digits so they round-trip exactly. A sweep runs every
-cell's tuning candidates, then every cell's seeds, each phase as
-lockstep groups of the configs that differ only in seed, schedule and
-optimizer (``run_grouped``); the groups can run in parallel processes,
-a group of more than its share of the phase cut into chunks. Neither
-changes a byte: every row of a lockstep batch is its run alone,
-and every run re-derives its random streams from (seed, stream id).
+cell's tuning candidates, then every cell's seeds, each phase as one
+``run_grouped`` call: ``engine.run_batch`` on the whole phase, or with
+``jobs`` N on each of N contiguous chunks of it in parallel processes.
+``run_batch`` steps the configs that differ only in seed, schedule and
+optimizer as lockstep groups. Neither the groups nor the chunks change a
+byte: every row of a lockstep batch is its run alone, and every run
+re-derives its random streams from (seed, stream id).
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import re
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -64,7 +66,6 @@ from .engine import (  # noqa: F401
     RunResult,
     Schedule,
     TrajectoryRecord,
-    lockstep_mismatch,
     run,
     run_batch,
     validate,
@@ -247,8 +248,9 @@ def _parse_x0(raw, dim: int) -> np.ndarray:
 
 
 def parse_config(d: dict) -> RunConfig:
-    """Build a RunConfig from a config dict; unknown keys and ill-typed
-    values at any level raise ConfigError."""
+    """Build a RunConfig from a config dict and check that it can run
+    (``engine.validate``); unknown keys, ill-typed values at any level and
+    configs that cannot run raise ConfigError."""
     _check_keys(d, field_hints(RunConfig).keys() | {"schema"}, "config")
     _check_schema(d)
     # The aggregator, the schedule and x0 depend on n, B, K and dim: they
@@ -260,13 +262,15 @@ def parse_config(d: dict) -> RunConfig:
     if isinstance(schedule, dict) and schedule.get(
             "kind", DEFAULTS["schedule.kind"]) == "theoretical":
         schedule = {"horizon": draft.K, **schedule}
-    return replace(
+    config = replace(
         draft,
         aggregator=_build(AggregatorSpec, d.get("aggregator", {}), "aggregator",
                           n=draft.n, B=draft.B),
         schedule=_build(Schedule, schedule, "schedule"),
         x0=_parse_x0(d.get("x0", DEFAULTS["x0"]), draft.objective.dim),
     )
+    validate(config)
+    return config
 
 
 def _to_json(value):
@@ -315,14 +319,9 @@ def _load(path, parse):
 
 
 def load_config(path, changes: dict | None = None) -> RunConfig:
-    """Parse a run config file with ``changes`` set (``with_changes``) and
-    check that it can run (``engine.validate``); errors carry ``file:line``."""
-    def parse(d: dict) -> RunConfig:
-        config = parse_config(with_changes(d, changes or {}))
-        validate(config)
-        return config
-
-    return _load(path, parse)
+    """Parse a run config file with ``changes`` set (``with_changes``);
+    errors carry ``file:line``."""
+    return _load(path, lambda d: parse_config(with_changes(d, changes or {})))
 
 
 def load_manifest(path) -> "ExperimentManifest":
@@ -552,31 +551,17 @@ class SummaryTable:
 
 
 def run_grouped(configs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
-    """Run every config and return their results in input order. Configs
-    that may run in lockstep (``engine.lockstep_mismatch``) form one
-    ``run_batch`` group, in input order. With ``jobs`` > 1 the groups are
-    mapped over that many worker processes, each group cut into
-    contiguous chunks of at most ceil(len(configs) / jobs) rows, so that
-    a phase of one large group still keeps every worker busy."""
-    groups: list[list[int]] = []
-    for i, config in enumerate(configs):
-        for group in groups:
-            if lockstep_mismatch(configs[group[0]], config) is None:
-                group.append(i)
-                break
-        else:
-            groups.append([i])
-    if jobs > 1:
-        size = -(-len(configs) // jobs)
-        groups = [group[j:j + size] for group in groups for j in range(0, len(group), size)]
-    batches = [[configs[i] for i in group] for group in groups]
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as executor:
-        batches = list((executor.map if executor else map)(run_batch, batches))
-    results: list[RunResult] = [None] * len(configs)
-    for group, batch in zip(groups, batches):
-        for i, result in zip(group, batch):
-            results[i] = result
-    return results
+    """Run every config with ``run_batch`` and return the results in input
+    order. With ``jobs`` > 1 the list is cut into contiguous chunks of at
+    most ceil(len(configs) / jobs) configs, mapped over that many worker
+    processes, so that a phase of one large lockstep group still keeps
+    every worker busy."""
+    if jobs <= 1 or not configs:
+        return run_batch(configs)
+    size = -(-len(configs) // jobs)
+    with ProcessPoolExecutor(max_workers=jobs) as executor:
+        chunks = [configs[j:j + size] for j in range(0, len(configs), size)]
+        return [result for chunk in executor.map(run_batch, chunks) for result in chunk]
 
 
 def tune_gamma0(

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -107,12 +107,15 @@ def test_nnm_b_zero_gives_global_mean():
 
 
 def nnm_reference(mat, B):
-    """Exhaustive distance-sort oracle with smaller-index tie-breaking."""
+    """Exhaustive distance-sort oracle with smaller-index tie-breaking.
+    It ranks by the squared distance of direct differences, as
+    ``nnm_transform`` does: a square root can round two different squared
+    distances to one value, and so make a tie that is not there."""
     n = len(mat)
     g = n - B
     out = np.empty_like(mat)
     for i in range(n):
-        dists = [(np.linalg.norm(mat[j] - mat[i]), j) for j in range(n)]
+        dists = [(np.einsum("k,k->", mat[j] - mat[i], mat[j] - mat[i]), j) for j in range(n)]
         chosen = [j for _, j in sorted(dists, key=lambda t: (t[0], t[1]))[:g]]
         out[i] = mat[chosen].mean(axis=0)
     return out
@@ -120,6 +123,9 @@ def nnm_reference(mat, B):
 
 @settings(max_examples=60)
 @given(finite_vectors, st.integers(0, 3))
+# Row 0 is farther from row 1 than row 2 is, by less than the rounding of
+# the distance's square root.
+@example(np.array([[0, 0.0078125], [673265.5185893088, 0], [0, 0]]), 1)
 def test_nnm_matches_reference(mat, B):
     if B >= len(mat) / 2:
         B = (len(mat) - 1) // 2
@@ -175,16 +181,22 @@ def test_krum_invalid_budget():
 
 
 def krum_reference(mat, n, B):
+    """Scores from the squared distances ``krum`` takes: summed in another
+    order, rows whose scores tie exactly can differ in the last bit."""
     m = n - B - 2
     scores = []
     for i in range(n):
-        d2 = sorted(np.sum((mat - mat[i]) ** 2, axis=1)[j] for j in range(n) if j != i)
+        d2 = sorted(np.einsum("k,k->", mat[j] - mat[i], mat[j] - mat[i])
+                    for j in range(n) if j != i)
         scores.append(sum(d2[:m]))
     return mat[int(np.argmin(scores))]
 
 
 @settings(max_examples=60)
 @given(finite_vectors, st.integers(0, 3))
+# The rows permute one vector's coordinates, so their scores tie.
+@example(np.array([[-49.22, -6.2, 4898.42], [4898.42, -6.2, -49.22],
+                   [-6.2, 4898.42, -49.22], [-6.2, -49.22, 4898.42]]), 0)
 def test_krum_matches_reference(mat, B):
     n = len(mat)
     if n - B - 2 < 1 or B >= n / 2:

@@ -163,6 +163,20 @@ def test_tune_keeps_theoretical_horizon(tmp_path, monkeypatch):
     assert horizons == [CONFIG["K"]] * len(harness.DEFAULT_TUNING_GRID)
 
 
+def test_tune_passes_jobs(tmp_path, monkeypatch):
+    calls = []
+
+    def tune_gamma0(configs, changes, grid=harness.DEFAULT_TUNING_GRID, jobs=1):
+        calls.append(jobs)
+        return [(0.1, {0.1: 1.0})]
+
+    monkeypatch.setattr(harness, "tune_gamma0", tune_gamma0)
+    cfg = write(tmp_path, CONFIG)
+    assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 0
+    assert calls == [2]
+
+
 def test_sweep_smoke(tmp_path, capsys):
     manifest = {
         "schema": 1,

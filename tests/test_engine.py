@@ -514,15 +514,32 @@ def test_lockstep_rows_diverge_alone():
             False, True, True, False, True]
 
 
-@pytest.mark.parametrize("field,change", [
-    ("K", dict(K=6)),
-    ("attack", dict(attack=AttackSpec(kind="alie"))),
-    ("x0", dict(x0=np.zeros(10))),
-])
-def test_lockstep_rejects_rows_that_differ_elsewhere(field, change):
-    base = quartic_config(n=5, B=1, attack="bit_flip")
-    with pytest.raises(ConfigError, match=f"not in '{field}'"):
-        run_batch([base, replace(base, seed=3, **change)])
+@pytest.mark.parametrize("change", [
+    dict(K=6),
+    dict(attack=AttackSpec(kind="alie")),
+    dict(x0=np.full(10, 0.5)),
+    dict(K=6, attack=AttackSpec(kind="alie"), x0=np.full(10, 0.5)),
+], ids=["K", "attack", "x0", "all"])
+def test_mixed_configs_run_as_each_alone(change, monkeypatch):
+    """Configs that differ outside the row fields, interleaved, step as
+    one lockstep group each, formed in input order; every result is its
+    config's run alone, in input order."""
+    import byzsim.engine as engine
+
+    a = quartic_config(n=5, B=1, attack="bit_flip", noise=1e-4, shifts=1e-3)
+    b = replace(a, **change)
+    configs = [a, b, replace(a, seed=3, optimizer="baseline"),
+               replace(b, seed=3, schedule=Schedule(kind="practical_decay", gamma0=0.02))]
+    groups = []
+
+    def run_lockstep(group, capture_states):
+        groups.append([next(i for i, c in enumerate(configs) if c is config) for config in group])
+        return lockstep(group, capture_states)
+
+    lockstep = engine._run_lockstep
+    monkeypatch.setattr(engine, "_run_lockstep", run_lockstep)
+    assert_rows_equal_runs_alone(configs)
+    assert groups == [[0, 2], [1, 3]]
 
 
 def test_empty_batch_runs_nothing():

@@ -410,6 +410,9 @@ def test_shipped_configs_parse():
                  "attacks", id="attack-cell-name-collision"),
     pytest.param({"aggregators": [{"rule": "gm"}, {"rule": "gm", "gm_nu": 1e-6}]}, {},
                  "aggregators", id="aggregator-cell-name-collision"),
+    # Parses, but cannot run: label_flip needs a classification objective.
+    pytest.param({"attacks": [{"kind": "bit_flip"}, {"kind": "label_flip"}]}, {}, "attacks",
+                 id="label-flip-on-quartic-base"),
 ])
 def test_bad_sweep_axis_rejected_at_load_with_file_line(tmp_path, sweep, tuning, key):
     path = tmp_path / "manifest.json"
@@ -419,6 +422,22 @@ def test_bad_sweep_axis_rejected_at_load_with_file_line(tmp_path, sweep, tuning,
     sweep = next(i for i, row in enumerate(rows, 1) if '"sweep"' in row)
     line = next(i for i, row in enumerate(rows, 1) if f'"{key}"' in row and i > sweep)
     with pytest.raises(ConfigFileError, match=rf"manifest\.json:{line}: .*'{key}'"):
+        load_manifest(path)
+
+
+def test_unrunnable_base_rejected_at_load_with_file_line(tmp_path):
+    """A manifest base that parses but cannot run (label 7 of 4 classes in
+    its label table) fails when the manifest is loaded, at the key's line."""
+    base = {**BASE_CONFIG, "n": 2, "B": 0, "attack": {"kind": "none"},
+            "aggregator": {"rule": "mean"}, "x0": "zeros",
+            "objective": {"kind": "softmax", "dim": 8, "n_classes": 4, "feature_dim": 2,
+                          "samples_per_worker": 2, "n_workers": 2},
+            "oracle": {"labels": [[0, 1], [7, 0]]}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"schema": 1, "base": base, "sweep": {"seeds": [1]}}, indent=2))
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if '"labels"' in row)
+    with pytest.raises(ConfigFileError,
+                       match=rf"manifest\.json:{line}: 'labels' in oracle: row 1 has label 7"):
         load_manifest(path)
 
 
