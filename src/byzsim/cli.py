@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -62,8 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    changes = {"seed": args.seed, "log_every": args.log_every}
-    config = harness.load_config(args.config, {k: v for k, v in changes.items() if v is not None})
+    overrides = {"seed": args.seed, "log_every": args.log_every}
+    config = replace(harness.load_config(args.config),
+                     **{k: v for k, v in overrides.items() if v is not None})
     result = run(config)
     args.out.mkdir(parents=True, exist_ok=True)
     harness.write_trajectory_csv(result.records, args.out / "trajectory.csv")
@@ -83,11 +85,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_tune(args) -> int:
     config = harness.load_config(args.config)
-    # config_to_dict writes a theoretical schedule's horizon, which the
-    # prefix's K then leaves at the config's.
-    [(best, table)] = harness.tune_gamma0([harness.config_to_dict(config)],
-                                          {"K": args.prefix, "log_every": args.prefix},
-                                          jobs=args.jobs)
+    [(best, table)] = harness.tune_gamma0(
+        [replace(config, K=args.prefix, log_every=args.prefix)], jobs=args.jobs)
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": harness.SCHEMA_VERSION,

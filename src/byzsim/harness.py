@@ -11,11 +11,13 @@ entry or else the dataclass default. ``config_to_dict`` walks the same
 fields back out.
 
 ``parse_config`` is the one place a ``RunConfig`` is built from data,
-and it returns only configs that can run (``engine.validate``). Every
-sweep cell, tuning candidate and run is a config dict with some paths
-set (``with_changes``) and parsed again, so the fields derived from
-others follow them: a theoretical horizon follows K, and the aggregator's
-(n, B) follow the run's.
+and it returns only configs that can run (``engine.validate``). Cells
+are parsed: a sweep cell is a config dict with some paths set
+(``with_changes``) and parsed, so a theoretical horizon follows K and the
+aggregator's (n, B) follow the run's. Runs derived from a cell are
+replaced (``dataclasses.replace``): a tuning candidate or a seed run sets
+only seed, K, log_every or gamma0, which no field is derived from, so a
+theoretical horizon stays at the cell's K.
 
 A sweep manifest is a base config dict plus axes. The named axes
 ``seeds``, ``attacks``, ``aggregators`` and ``optimizers`` set the config
@@ -318,10 +320,9 @@ def _load(path, parse):
         raise ConfigFileError(path, _error_line(text, str(e)), str(e)) from e
 
 
-def load_config(path, changes: dict | None = None) -> RunConfig:
-    """Parse a run config file with ``changes`` set (``with_changes``);
-    errors carry ``file:line``."""
-    return _load(path, lambda d: parse_config(with_changes(d, changes or {})))
+def load_config(path) -> RunConfig:
+    """Parse a run config file; errors carry ``file:line``."""
+    return _load(path, parse_config)
 
 
 def load_manifest(path) -> "ExperimentManifest":
@@ -412,6 +413,10 @@ class ExperimentManifest:
                                   "the second would overwrite the first's output")
         if self.tune and "schedule.gamma0" in self.axes:
             raise ConfigError("sweep axis 'schedule.gamma0' needs tuning.enabled false")
+        if not self.tuning_grid or not all(g > 0 for g in self.tuning_grid):  # NaN fails too
+            raise ConfigError(f"'grid' in tuning needs rates > 0, got {list(self.tuning_grid)}")
+        if self.tuning_prefix < 1:
+            raise ConfigError(f"'prefix_iters' in tuning must be >= 1, got {self.tuning_prefix}")
         self.cells()  # values that are valid alone may not be together
 
     @classmethod
@@ -565,18 +570,17 @@ def run_grouped(configs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
 
 
 def tune_gamma0(
-    configs: list[dict],
-    changes: dict,
+    configs: list[RunConfig],
     grid=DEFAULT_TUNING_GRID,
     jobs: int = 1,
 ) -> list[tuple[float, dict[float, float]]]:
-    """Run each config dict of ``configs`` with ``changes`` (a short
-    prefix) and each candidate gamma0 set, all in one ``run_grouped``
+    """Run each config of ``configs``, already at its tuning prefix, with
+    each candidate gamma0 of ``grid`` set, all in one ``run_grouped``
     call, and return per config the gamma0 minimizing the final gradient
     norm (ties toward the smaller rate) and the score of each candidate.
     Diverged candidates score infinity."""
-    candidates = [parse_config(with_changes(config, {**changes, "schedule.gamma0": g}))
-                  for config in configs for g in grid]
+    candidates = [replace(c, schedule=replace(c.schedule, gamma0=g))
+                  for c in configs for g in grid]
     scores = iter([final_grad_norm(r) for r in run_grouped(candidates, jobs)])
     tuned = []
     for _ in configs:
@@ -589,24 +593,20 @@ def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTa
     """Tune gamma0 (optionally, on the first seed and a short prefix) and
     run every cell of ``manifest.cells()`` across all seeds; write
     per-run CSVs and a summary JSON. Each phase is one ``run_grouped``
-    call: every cell's tuning candidates, then every cell's seeds."""
+    call of the cells with seed, K, log_every or gamma0 replaced: every
+    cell's tuning candidates, then every cell's seeds."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = manifest.cells()
     seeds = manifest.seeds
-    # config_to_dict writes a theoretical schedule's horizon, which the
-    # tuning prefix's K then leaves at the cell's.
-    cell_dicts = [config_to_dict(cell) for cell, _ in cells]
-    prefix = {"seed": seeds[0], "K": manifest.tuning_prefix, "log_every": manifest.tuning_prefix}
+    prefix = manifest.tuning_prefix
     if manifest.tune:
-        gamma0s = [best for best, _ in tune_gamma0(cell_dicts, prefix, manifest.tuning_grid, jobs)]
+        prefixes = [replace(cell, seed=seeds[0], K=prefix, log_every=prefix) for cell, _ in cells]
+        gamma0s = [best for best, _ in tune_gamma0(prefixes, manifest.tuning_grid, jobs)]
     else:
         gamma0s = [cell.schedule.gamma0 for cell, _ in cells]
-    run_configs = [
-        parse_config(with_changes(d, {"schedule.gamma0": gamma0, "seed": seed}))
-        for d, gamma0 in zip(cell_dicts, gamma0s)
-        for seed in seeds
-    ]
+    run_configs = [replace(cell, seed=seed, schedule=replace(cell.schedule, gamma0=gamma0))
+                   for (cell, _), gamma0 in zip(cells, gamma0s) for seed in seeds]
     results = run_grouped(run_configs, jobs)
 
     table = SummaryTable()

@@ -82,6 +82,16 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "bad.json:2" in capsys.readouterr().err
 
 
+def test_bad_override_quotes_no_file_line(tmp_path, capsys):
+    """A flag value that cannot run is the flag's error, not a line of the
+    valid config file it overrides."""
+    rc = main(["run", "--config", str(CONFIGS / "example_run.json"), "--log-every", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: log_every must be >= 1\n"
+
+
 def test_ill_typed_value_reports_line(tmp_path, capsys):
     path = write(tmp_path, {**CONFIG, "K": "abc"})
     line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if '"K"' in row)
@@ -166,7 +176,7 @@ def test_tune_keeps_theoretical_horizon(tmp_path, monkeypatch):
 def test_tune_passes_jobs(tmp_path, monkeypatch):
     calls = []
 
-    def tune_gamma0(configs, changes, grid=harness.DEFAULT_TUNING_GRID, jobs=1):
+    def tune_gamma0(configs, grid=harness.DEFAULT_TUNING_GRID, jobs=1):
         calls.append(jobs)
         return [(0.1, {0.1: 1.0})]
 

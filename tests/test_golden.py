@@ -163,9 +163,10 @@ VERIFY_REPORTS = "e39b9637b3c103bd01e90c5d61d409a4647826d2587674a1483076b4d62fe6
 
 def tree_sha256(root) -> str:
     """sha256 over each file's path under root, a NUL byte and its bytes,
-    in path order."""
+    in path order. Directories are skipped, also those whose name has a
+    dot (a ``schedule.kind=...`` cell)."""
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.*")):
+    for path in sorted(p for p in root.rglob("*.*") if p.is_file()):
         digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 

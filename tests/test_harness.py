@@ -131,8 +131,9 @@ def test_tune_prefers_smaller_rate_on_tie(monkeypatch):
     scores = {0.01: 3.0, 0.05: 1.0, 0.2: 1.0, 1.0: math.inf}
     monkeypatch.setattr(harness_mod, "run_batch", fake_run_batch(scores))
 
-    config = {**BASE_CONFIG, "schedule": {"kind": "constant", "gamma0": 0.1}}
-    [(best, table)] = tune_gamma0([config], {"K": 5}, grid=(1.0, 0.2, 0.05, 0.01))
+    config = parse_config({**BASE_CONFIG, "schedule": {"kind": "constant", "gamma0": 0.1},
+                           "K": 5})
+    [(best, table)] = tune_gamma0([config], grid=(1.0, 0.2, 0.05, 0.01))
     assert best == 0.05  # smaller rate wins the tie, diverged scores lose
     assert table[1.0] == math.inf
 
@@ -140,12 +141,12 @@ def test_tune_prefers_smaller_rate_on_tie(monkeypatch):
 def test_tune_returns_one_choice_per_config():
     """Candidates of several configs run in lockstep groups; each config
     gets the choice and table of tuning it alone."""
-    configs = [{**BASE_CONFIG, "optimizer": opt, "attack": {"kind": attack}}
+    configs = [parse_config({**BASE_CONFIG, "optimizer": opt, "attack": {"kind": attack},
+                             "K": 20, "log_every": 20})
                for attack in ("alie", "bit_flip") for opt in ("byz_nsgdm", "baseline")]
     grid = (0.01, 0.1, 0.5)
-    tuned = tune_gamma0(configs, {"K": 20, "log_every": 20}, grid=grid)
-    assert tuned == [tune_gamma0([c], {"K": 20, "log_every": 20}, grid=grid)[0]
-                     for c in configs]
+    tuned = tune_gamma0(configs, grid=grid)
+    assert tuned == [tune_gamma0([c], grid=grid)[0] for c in configs]
     assert all(list(table) == list(grid) for _, table in tuned)
 
 
@@ -256,11 +257,19 @@ def test_one_lockstep_group_is_cut_over_the_jobs(monkeypatch):
         assert (got.final_x == want.final_x).all()
 
 
-def test_sweep_groups_write_the_bytes_of_runs_alone(tmp_path):
+@pytest.mark.parametrize("axes, grid", [
+    pytest.param({}, (0.01, 0.1, 0.5), id="practical"),
+    # Tuned on the 8-step prefix, a theoretical schedule keeps the horizon
+    # of the cell's K (12 or 20), which config_to_dict writes. With a
+    # horizon of 8, byz_nsgdm cells would choose 2.0 over 5.0 or 10.0.
+    pytest.param({"schedule.kind": ["theoretical"]}, (0.1, 0.5, 1.0, 2.0, 5.0, 10.0),
+                 id="theoretical"),
+])
+def test_sweep_groups_write_the_bytes_of_runs_alone(tmp_path, axes, grid):
     """A sweep whose cells fall into several lockstep groups (a K axis and
     a B axis) writes the same bytes with one process, with two, and from
     each config run alone and tuned alone."""
-    grid, prefix = (0.01, 0.1, 0.5), 8
+    prefix = 8
     spec = {
         "schema": 1,
         "base": {**BASE_CONFIG, "K": 20},
@@ -271,6 +280,7 @@ def test_sweep_groups_write_the_bytes_of_runs_alone(tmp_path):
             "optimizers": ["byz_nsgdm", "baseline"],
             "K": [12, 20],
             "B": [0, 1],
+            **axes,
         },
         "tuning": {"enabled": True, "grid": list(grid), "prefix_iters": prefix},
     }
@@ -413,6 +423,10 @@ def test_shipped_configs_parse():
     # Parses, but cannot run: label_flip needs a classification objective.
     pytest.param({"attacks": [{"kind": "bit_flip"}, {"kind": "label_flip"}]}, {}, "attacks",
                  id="label-flip-on-quartic-base"),
+    # Tuning settings that no candidate could run with.
+    pytest.param({}, {"grid": []}, "grid", id="empty-tuning-grid"),
+    pytest.param({}, {"grid": [0.1, 0]}, "grid", id="zero-rate-in-tuning-grid"),
+    pytest.param({}, {"prefix_iters": 0}, "prefix_iters", id="zero-tuning-prefix"),
 ])
 def test_bad_sweep_axis_rejected_at_load_with_file_line(tmp_path, sweep, tuning, key):
     path = tmp_path / "manifest.json"
