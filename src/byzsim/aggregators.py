@@ -6,10 +6,12 @@ such inputs as one (T, n, d) array and returns the (T, d) results, each
 row bit for bit what the rule returns for that (n, d) matrix alone: the
 rules work along the last two axes, and the batched Weiszfeld iteration
 drops a row from its passes once that row has converged. ``aggregate``
-dispatches on an :class:`AggregatorSpec` and optionally applies
-nearest-neighbor mixing (NNM) first: each input is replaced by the mean
-of its G = n - B nearest inputs (itself included), which contracts
-heterogeneity before the robust rule runs.
+dispatches on an :class:`AggregatorSpec`, which holds only the rule and
+whether nearest-neighbor mixing (NNM) runs first: each input is replaced
+by the mean of its G = n - B nearest inputs (itself included), which
+contracts heterogeneity before the robust rule runs. Every other setting
+follows from the run: Krum and the trimmed mean take the run's B, and
+Weiszfeld runs with the ``geometric_median`` defaults.
 
 ``theoretical_kappa`` exposes the closed-form robustness coefficients
 where they exist: geometric median and coordinate-wise median have
@@ -23,7 +25,6 @@ the verification fuzzer reports their empirical ratio instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Literal
 
 import numpy as np
@@ -44,20 +45,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AggregatorSpec:
-    """Aggregation rule selection plus its parameters.
+    """Aggregation rule selection: the rule and whether NNM runs first.
 
     B is the Byzantine budget the rule defends against (also the NNM
-    neighbor-count complement and the default per-side trim count).
+    neighbor-count complement and the trimmed mean's per-side trim
+    count); n and B are always the run's own. Weiszfeld runs with the
+    ``geometric_median`` defaults.
     """
 
     rule: Literal["mean", "krum", "gm", "cwmed", "trimmed_mean"]
     n: int
     B: int
     nnm: bool = False
-    gm_nu: float = 1e-8
-    gm_max_iters: int = 100
-    gm_tol: float = 1e-10
-    trim_b: int | None = None
 
     def __post_init__(self):
         check_choices(self)
@@ -65,20 +64,6 @@ class AggregatorSpec:
             raise ConfigError(f"need 0 <= B < n/2, got B={self.B}, n={self.n}")
         if self.rule == "krum" and self.n - self.B - 2 < 1:
             raise ConfigError(f"krum needs n - B - 2 >= 1, got n={self.n}, B={self.B}")
-        if self.gm_nu <= 0:
-            raise ConfigError("gm smoothing nu must be > 0")
-        if self.trim_b is not None:
-            if not isinstance(self.trim_b, Real) or not float(self.trim_b).is_integer():
-                raise ConfigError(f"trim_b must be an integer, got {self.trim_b!r}")
-            object.__setattr__(self, "trim_b", int(self.trim_b))
-            if not 0 <= self.trim_b < self.n / 2:
-                raise ConfigError(
-                    f"need 0 <= trim_b < n/2, got trim_b={self.trim_b}, n={self.n}"
-                )
-
-    @property
-    def trim_count(self) -> int:
-        return self.B if self.trim_b is None else self.trim_b
 
     @property
     def name(self) -> str:
@@ -122,13 +107,12 @@ def nnm_transform(vectors, B: int) -> np.ndarray:
     return _take_rows(mat, order).mean(axis=-2)
 
 
-def krum(vectors, n: int, B: int) -> np.ndarray:
+def krum(vectors, B: int) -> np.ndarray:
     """Return the input vector whose summed squared distance to its
     n - B - 2 nearest other vectors is smallest (ties to the smaller
     index)."""
     mat = _as_matrix(vectors)
-    if mat.shape[-2] != n:
-        raise ConfigError(f"expected {n} vectors, got {mat.shape[-2]}")
+    n = mat.shape[-2]
     m = n - B - 2
     if m < 1:
         raise ConfigError(f"krum needs n - B - 2 >= 1, got n={n}, B={B}")
@@ -234,12 +218,12 @@ def aggregate(spec: AggregatorSpec, vectors) -> np.ndarray:
     if spec.rule == "mean":
         return mat.mean(axis=-2)
     if spec.rule == "krum":
-        return krum(mat, spec.n, spec.B)
+        return krum(mat, spec.B)
     if spec.rule == "gm":
-        return geometric_median(mat, spec.gm_nu, spec.gm_max_iters, spec.gm_tol)
+        return geometric_median(mat)
     if spec.rule == "cwmed":
         return coordinate_median(mat)
-    return trimmed_mean(mat, spec.trim_count)
+    return trimmed_mean(mat, spec.B)
 
 
 def base_kappa(rule: str, n: int, B: int, d: int) -> float | None:

@@ -30,9 +30,10 @@ from .verify import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, jobs_help: str | None = None) -> None:
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    if jobs_help:
+        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,17 +48,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run every cell of a sweep manifest")
     p.add_argument("--config", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, "parallel worker processes")
 
     p = sub.add_parser("tune", help="pick the base step size on a short prefix")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--prefix", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, "parallel worker processes")
 
     p = sub.add_parser("verify", help="run the numerical certification battery")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, "ignored: the battery runs in one process")
 
     return parser
 
@@ -84,6 +85,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    if args.prefix < 1:
+        raise ConfigError("--prefix must be >= 1")
     config = harness.load_config(args.config)
     [(best, table)] = harness.tune_gamma0(
         [replace(config, K=args.prefix, log_every=args.prefix)], jobs=args.jobs)
@@ -170,6 +173,8 @@ BATTERY = (
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     args.out.mkdir(parents=True, exist_ok=True)
     failures = []
     for check in BATTERY:

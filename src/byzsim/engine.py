@@ -202,6 +202,8 @@ def validate(config: RunConfig) -> None:
         raise ConfigError(
             f"x0 has shape {config.x0.shape}, expected ({config.objective.dim},)"
         )
+    if config.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if config.K < 1:
         raise ConfigError("K must be >= 1")
     if config.log_every < 1:

@@ -26,9 +26,10 @@ sweep key is itself a config path, top-level (``"K"``, ``"B"``) or dotted
 (``"schedule.momentum_beta"``). ``configs/table1.json`` and
 ``configs/ablation.json`` are the paper's benchmark matrix and its
 momentum x step-size ablation. Each axis value is checked at load by
-parsing the base with that one value set, then every cell is built, so
-values that cannot run (``label_flip`` over a quartic base) or that are
-valid alone but not together (an ``n`` and a ``B``) fail at load too.
+parsing the base with that one value set, then every cell is built,
+once: a sweep runs the manifest's ``cells`` built at load. So values
+that cannot run (``label_flip`` over a quartic base) or that are valid
+alone but not together (an ``n`` and a ``B``) fail at load too.
 Two entries of one axis that would give cells the same name, and so the
 same output directory, are rejected.
 
@@ -385,16 +386,19 @@ class ExperimentManifest:
     """A base config dict plus the sweep axes and tuning settings. ``axes``
     maps each sweep key to its list of raw config values: a named axis
     (``NAMED_AXES``) sets its config path, any other key is the config
-    path it sets."""
+    path it sets. ``seeds`` (the ``seeds`` axis, else the base config's
+    seed) and ``cells`` (``_cells``) are built once, at load."""
 
     base: dict
     axes: dict[str, list] = field(default_factory=dict)
     tune: bool = True
     tuning_grid: tuple[float, ...] = DEFAULT_TUNING_GRID
     tuning_prefix: int = 1000
+    seeds: list[int] = field(init=False)
+    cells: list[tuple[RunConfig, dict]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.config({})  # the base alone, so that its own errors name no axis
+        base = self.config({})  # the base alone, so that its own errors name no axis
         named_paths = {path: key for key, (path, _) in NAMED_AXES.items()}
         for key, values in self.axes.items():
             path, label = NAMED_AXES.get(key, (key, key))
@@ -417,7 +421,8 @@ class ExperimentManifest:
             raise ConfigError(f"'grid' in tuning needs rates > 0, got {list(self.tuning_grid)}")
         if self.tuning_prefix < 1:
             raise ConfigError(f"'prefix_iters' in tuning must be >= 1, got {self.tuning_prefix}")
-        self.cells()  # values that are valid alone may not be together
+        self.seeds = list(self.axes.get("seeds") or [base.seed])
+        self.cells = self._cells()  # values that are valid alone may not be together
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentManifest":
@@ -441,12 +446,7 @@ class ExperimentManifest:
         """The base config with ``changes`` set (``with_changes``), parsed."""
         return parse_config(with_changes(self.base, {"schema": SCHEMA_VERSION, **changes}))
 
-    @property
-    def seeds(self) -> list[int]:
-        """The ``seeds`` axis, else the base config's seed."""
-        return list(self.axes.get("seeds") or [self.config({}).seed])
-
-    def cells(self) -> list[tuple[RunConfig, dict]]:
+    def _cells(self) -> list[tuple[RunConfig, dict]]:
         """One (config, path-axis values) pair per sweep cell, one cell per
         combination of attack, aggregator, optimizer and path-axis values,
         in that order: the base with the schedule kind
@@ -591,14 +591,13 @@ def tune_gamma0(
 
 def run_sweep(manifest: ExperimentManifest, out_dir, jobs: int = 1) -> SummaryTable:
     """Tune gamma0 (optionally, on the first seed and a short prefix) and
-    run every cell of ``manifest.cells()`` across all seeds; write
+    run every cell of ``manifest.cells`` across all seeds; write
     per-run CSVs and a summary JSON. Each phase is one ``run_grouped``
     call of the cells with seed, K, log_every or gamma0 replaced: every
     cell's tuning candidates, then every cell's seeds."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = manifest.cells()
-    seeds = manifest.seeds
+    cells, seeds = manifest.cells, manifest.seeds
     prefix = manifest.tuning_prefix
     if manifest.tune:
         prefixes = [replace(cell, seed=seeds[0], K=prefix, log_every=prefix) for cell, _ in cells]

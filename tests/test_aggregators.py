@@ -162,22 +162,22 @@ def test_nnm_pairing_property(mat, data):
 
 def test_krum_tie_breaks_to_smaller_index():
     mat = np.array([[0.0], [0.1], [0.2], [100.0]])
-    np.testing.assert_array_equal(krum(mat, n=4, B=1), [0.0])
+    np.testing.assert_array_equal(krum(mat, B=1), [0.0])
 
 
 def test_krum_identical_vectors():
     mat = np.tile([1.0, 2.0], (5, 1))
-    np.testing.assert_array_equal(krum(mat, n=5, B=1), [1.0, 2.0])
+    np.testing.assert_array_equal(krum(mat, B=1), [1.0, 2.0])
 
 
 def test_krum_three_points():
     mat = np.array([[0.0], [1.0], [5.0]])
-    np.testing.assert_array_equal(krum(mat, n=3, B=0), [0.0])
+    np.testing.assert_array_equal(krum(mat, B=0), [0.0])
 
 
 def test_krum_invalid_budget():
     with pytest.raises(ConfigError):
-        krum(np.zeros((3, 2)), n=3, B=1)
+        krum(np.zeros((3, 2)), B=1)
 
 
 def krum_reference(mat, n, B):
@@ -201,7 +201,7 @@ def test_krum_matches_reference(mat, B):
     n = len(mat)
     if n - B - 2 < 1 or B >= n / 2:
         B = 0
-    np.testing.assert_array_equal(krum(mat, n, B), krum_reference(mat, n, B))
+    np.testing.assert_array_equal(krum(mat, B), krum_reference(mat, n, B))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +402,14 @@ def test_certified_bound_all_labelings(mat, B, rule):
     if B >= n / 2:
         B = (n - 1) // 2
     G = n - B
-    # tiny smoothing: the default 1e-8 leaves an O(nu) output error that
-    # exceeds the probe tolerance on exact-duplicate clusters
-    spec = AggregatorSpec(rule=rule, n=n, B=B, gm_nu=1e-13, gm_max_iters=500,
-                          gm_tol=1e-15)
+    spec = AggregatorSpec(rule=rule, n=n, B=B)
     kappa = theoretical_kappa(spec, d)
-    agg = aggregate(spec, mat)
+    if rule == "gm":
+        # tiny smoothing: the default 1e-8 leaves an O(nu) output error that
+        # exceeds the probe tolerance on exact-duplicate clusters
+        agg = geometric_median(mat, nu=1e-13, max_iters=500, tol=1e-15)
+    else:
+        agg = aggregate(spec, mat)
     for good in combinations(range(n), G):
         sub = mat[list(good)]
         vbar = sub.mean(axis=0)
@@ -446,13 +448,6 @@ def test_kappa_nnm_composition():
     kappa = 2.0 * (1.0 + 3.0 / 14.0)
     expected = (8 * kappa + 4) * (3.0 / 17.0) * 2.0
     assert theoretical_kappa(spec, d=10, leverage_c=2.0) == pytest.approx(expected)
-
-
-def test_trim_b_cast_and_checked_when_built():
-    assert AggregatorSpec(rule="trimmed_mean", n=20, B=3, trim_b=2.0).trim_b == 2
-    for bad in (10, -1, 2.5, "2"):
-        with pytest.raises(ConfigError, match="trim_b"):
-            AggregatorSpec(rule="trimmed_mean", n=20, B=3, trim_b=bad)
 
 
 def test_spec_validation():

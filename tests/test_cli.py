@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import byzsim
 from byzsim import cli, harness
 from byzsim.cli import main
@@ -82,14 +84,33 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "bad.json:2" in capsys.readouterr().err
 
 
-def test_bad_override_quotes_no_file_line(tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["run", "--log-every", "0"], "log_every must be >= 1", id="run-log-every-0"),
+    pytest.param(["run", "--seed", "-1"], "seed must be >= 0", id="run-seed-minus-1"),
+    pytest.param(["tune", "--prefix", "0"], "--prefix must be >= 1", id="tune-prefix-0"),
+])
+def test_bad_override_quotes_no_file_line(tmp_path, capsys, argv, message):
     """A flag value that cannot run is the flag's error, not a line of the
     valid config file it overrides."""
-    rc = main(["run", "--config", str(CONFIGS / "example_run.json"), "--log-every", "0",
+    rc = main([*argv, "--config", str(CONFIGS / "example_run.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "error: log_every must be >= 1\n"
+    assert err == f"error: {message}\n"
+
+
+def test_verify_negative_seed_exits_with_error(tmp_path, capsys):
+    rc = main(["verify", "--seed", "-1", "--trials", "10", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
+
+def test_run_has_no_jobs_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(CONFIGS / "example_run.json"), "--jobs", "2",
+              "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_ill_typed_value_reports_line(tmp_path, capsys):

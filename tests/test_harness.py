@@ -162,7 +162,7 @@ def test_manifest_from_dict():
         },
         "tuning": {"enabled": False},
     })
-    cells = [cell for cell, _ in manifest.cells()]
+    cells = [cell for cell, _ in manifest.cells]
     assert [c.attack.kind for c in cells] == ["none", "alie"]
     assert {(c.aggregator.name, c.optimizer) for c in cells} == {("gm+nnm", "byz_nsgdm")}
     assert manifest.seeds == [1, 2]
@@ -290,7 +290,7 @@ def test_sweep_groups_write_the_bytes_of_runs_alone(tmp_path, axes, grid):
     assert tree_sha256(tmp_path / "j1") == tree_sha256(tmp_path / "j2")
 
     tuning = {"seed": 1, "K": prefix, "log_every": prefix}
-    for (cell, _), summary in zip(manifest.cells(), table.cells):
+    for (cell, _), summary in zip(manifest.cells, table.cells):
         d = config_to_dict(cell)
         scores = {g: final_grad_norm(reference_run(
             parse_config(with_changes(d, {**tuning, "schedule.gamma0": g})))) for g in grid}
@@ -308,7 +308,7 @@ def test_sweep_groups_write_the_bytes_of_runs_alone(tmp_path, axes, grid):
 
 def test_table1_manifest_shape():
     m = load_manifest(CONFIGS / "table1.json")
-    cells = [cell for cell, _ in m.cells()]
+    cells = [cell for cell, _ in m.cells]
     assert len(cells) == 27
     assert len({c.attack.kind for c in cells}) == 3
     assert len({c.aggregator.rule for c in cells}) == 3 and all(c.aggregator.nnm for c in cells)
@@ -324,7 +324,7 @@ def test_manifest_omitted_axes_default_to_base():
                  "aggregator": {"rule": "gm", "nnm": True}},
         "sweep": {"seeds": [1]},
     })
-    (cell, _), = manifest.cells()
+    (cell, _), = manifest.cells
     assert cell.attack.kind == "alie"
     assert (cell.aggregator.rule, cell.aggregator.nnm) == ("gm", True)
     assert cell.optimizer == "byz_nsgdm"
@@ -358,11 +358,24 @@ def test_unknown_key_rejected_with_file_line(tmp_path):
     pytest.param({"n": True}, r"'n' in config must be an integer", id="n-bool"),
     pytest.param({"schedule": {"kind": 1}}, r"'kind' in schedule must be a string",
                  id="kind-int"),
+    # The aggregator section is the rule and NNM: Weiszfeld's settings and
+    # the trim count are not config keys.
+    *(pytest.param({"aggregator": {"rule": "gm", key: value}},
+                   rf"unknown key '{key}' in aggregator", id=f"aggregator-{key}")
+      for key, value in (("gm_nu", 1e-6), ("gm_max_iters", 50), ("gm_tol", 1e-12),
+                         ("trim_b", 1))),
 ])
 def test_unknown_nested_key_rejected(changes, match):
     """Unknown keys and ill-typed values raise a ConfigError naming the key."""
     with pytest.raises(ConfigError, match=match):
         parse_config({**BASE_CONFIG, **changes})
+
+
+def test_negative_seed_rejected_with_file_line(tmp_path):
+    path = write_config(tmp_path, {"seed": -1})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if '"seed"' in row)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: seed must be >= 0"):
+        load_config(path)
 
 
 def test_integer_accepted_for_float_field():
@@ -393,7 +406,7 @@ def test_shipped_configs_parse():
     ablation = load_manifest(CONFIGS / "ablation.json")
     assert {k: len(v) for k, v in ablation.axes.items()} == {
         "seeds": 1, "schedule.momentum_beta": 7, "schedule.gamma0": 6}
-    assert len(ablation.cells()) == 42 and not ablation.tune
+    assert len(ablation.cells) == 42 and not ablation.tune
 
 
 @pytest.mark.parametrize("sweep, tuning, key", [
@@ -407,6 +420,7 @@ def test_shipped_configs_parse():
     pytest.param({"schedule.momentum_beta": [1.5]}, {"enabled": False},
                  "schedule.momentum_beta", id="axis-out-of-range"),
     pytest.param({"seeds": []}, {}, "seeds", id="empty-axis"),
+    pytest.param({"seeds": [1, -1]}, {}, "seeds", id="negative-seed"),
     # The line is the sweep's "B", not the base's.
     pytest.param({"B": [1, 3]}, {}, "B", id="B-makes-aggregator-invalid"),
     pytest.param({"seed": [1, 2]}, {}, "seed", id="path-of-a-named-axis"),
@@ -418,7 +432,7 @@ def test_shipped_configs_parse():
     # Cells are named by attack kind and rule: these pairs would share a name.
     pytest.param({"attacks": [{"kind": "alie"}, {"kind": "alie", "alie_z": 3.0}]}, {},
                  "attacks", id="attack-cell-name-collision"),
-    pytest.param({"aggregators": [{"rule": "gm"}, {"rule": "gm", "gm_nu": 1e-6}]}, {},
+    pytest.param({"aggregators": [{"rule": "gm"}, {"rule": "gm", "nnm": False}]}, {},
                  "aggregators", id="aggregator-cell-name-collision"),
     # Parses, but cannot run: label_flip needs a classification objective.
     pytest.param({"attacks": [{"kind": "bit_flip"}, {"kind": "label_flip"}]}, {}, "attacks",
@@ -483,7 +497,7 @@ def test_cell_config_keeps_base_init_momentum():
         "base": {**BASE_CONFIG, "init_momentum": "zero",
                  "schedule": {"kind": "constant", "gamma0": 0.1}},
     })
-    (cell, axes), = manifest.cells()
+    (cell, axes), = manifest.cells
     assert cell.init_momentum == "zero" and axes == {}
     assert cell.schedule.kind == OPTIMIZER_SCHEDULE["byz_nsgdm"]
 
@@ -515,7 +529,7 @@ def test_B_axis_sets_the_aggregators_B(tmp_path):
         "sweep": {"seeds": [1], "B": [1, 2]},
         "tuning": {"enabled": False},
     })
-    assert [(cell.B, cell.aggregator.B, axes) for cell, axes in manifest.cells()] == [
+    assert [(cell.B, cell.aggregator.B, axes) for cell, axes in manifest.cells] == [
         (1, 1, {"B": 1}), (2, 2, {"B": 2})]
     run_sweep(manifest, tmp_path / "out")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
@@ -539,5 +553,4 @@ def test_K_axis_sets_the_run_length(tmp_path):
 def test_building_cells_leaves_the_manifest_base_as_read(name):
     spec = json.loads((CONFIGS / name).read_text())
     manifest = ExperimentManifest.from_dict(copy.deepcopy(spec))
-    manifest.cells()
     assert manifest.base == spec["base"]
