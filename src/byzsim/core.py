@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "RngStream",
+    "check_seed",
     "check_choice",
     "check_choices",
     "field_hints",
@@ -35,6 +36,15 @@ SHIFT_STREAM = 2**32
 class ConfigError(ValueError):
     """Raised for invalid configuration: dimension mismatches, bad counts,
     out-of-range parameters."""
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ConfigError unless ``seed`` fits the unsigned 64-bit key word
+    of an ``RngStream``; ``name`` is what the message calls it."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0")
+    if seed >= 2**64:
+        raise ConfigError(f"{name} must be < 2**64")
 
 
 class RngStream:

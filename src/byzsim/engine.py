@@ -58,6 +58,7 @@ from .core import (
     NORM_EPS,
     RngStream,
     check_choices,
+    check_seed,
     gaussian_vector,
     norms,
 )
@@ -202,8 +203,7 @@ def validate(config: RunConfig) -> None:
         raise ConfigError(
             f"x0 has shape {config.x0.shape}, expected ({config.objective.dim},)"
         )
-    if config.seed < 0:
-        raise ConfigError("seed must be >= 0")
+    check_seed(config.seed)
     if config.K < 1:
         raise ConfigError("K must be >= 1")
     if config.log_every < 1:

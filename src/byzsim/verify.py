@@ -16,14 +16,18 @@ negative or NaN, and the worst margin is the smallest one (NaN once any
 margin is NaN), so a negative or NaN worst margin means at least one
 violation.
 
-The robustness fuzz draws its instances ``FUZZ_BLOCK`` at a time, in the
-order one at a time would draw them, and aggregates each block with one
-call on its (T, n, d) array: every rule takes that leading batch axis
-and gives each instance the bits it gets alone. It then scores each
-instance's C(n, B) labelings in (n, labelings) buffers allocated once per
-check, one coordinate at a time, adding the squared coordinates in the
-order numpy's pairwise summation adds them, so every score equals the one
-the (labelings, n, d) difference tensor gives, without that tensor.
+The robustness fuzz certifies several rules in one pass over one stream:
+it draws its instances ``FUZZ_BLOCK`` at a time, in the order one at a
+time would draw them, and aggregates each block with one call per rule
+on its (T, n, d) array: every rule takes that leading batch axis and
+gives each instance the bits it gets alone. It then scores each
+instance's C(n, B) labelings once, in (n, labelings) buffers allocated
+once per check, one coordinate at a time, adding the squared coordinates
+in the order numpy's pairwise summation adds them, so every score equals
+the one the (labelings, n, d) difference tensor gives, without that
+tensor. Only the distance of each rule's aggregate to the good means
+differs between the rules, so each rule's report equals the one a pass
+of its own would give, byte for byte.
 
 Heterogeneity needs no sampling. A worker's local gradient is
 grad f(x) + s_i, so grad f_i(x) - grad f(x) = s_i at every x, and the
@@ -219,9 +223,10 @@ class _Labelings:
         self.acc = np.empty((1 if d < 8 else 8, n, S))
         self.tmp = np.empty((n, S))
 
-    def score(self, mat: np.ndarray, agg: np.ndarray):
+    def score(self, mat: np.ndarray):
         """Per labeling: the good dispersion, the largest good distance,
-        the largest distance over all rows, and |agg - good mean|."""
+        the largest distance over all rows, and the (labelings, d) good
+        means."""
         subs = self.subs
         G = len(mat) - subs.shape[1]
         vbar = (mat.sum(axis=0) - mat.take(subs.T, axis=0).sum(axis=0)) / G
@@ -238,19 +243,19 @@ class _Labelings:
         disp = by_labeling.sum(axis=1) - by_labeling.take(self.byz_by_labeling).sum(axis=1)
         np.copyto(self.tmp, dist)
         np.put(self.tmp, self.byz_by_row, -np.inf)
-        lhs = np.linalg.norm(agg - vbar, axis=1)
-        return disp, self.tmp.max(axis=0), dist.max(axis=0), lhs
+        return disp, self.tmp.max(axis=0), dist.max(axis=0), vbar
 
 
 def check_robustness(
-    spec: AggregatorSpec,
+    *specs: AggregatorSpec,
     trials: int,
     d: int,
     rng: RngStream,
     kappa: float | None = None,
     tol_rel: float = 1e-9,
-) -> CheckReport:
-    """Fuzz the aggregation bound over adversarial instances.
+) -> list[CheckReport]:
+    """Fuzz the aggregation bound of each spec over the same adversarial
+    instances; one report per spec, in spec order.
 
     For each instance the bound is checked against every admissible
     good-set labeling of size G; more than ``MAX_LABELINGS`` of them is
@@ -261,55 +266,63 @@ def check_robustness(
     counted. Tolerance is relative to the larger of the bound and the
     instance scale.
 
-    Instances are drawn ``FUZZ_BLOCK`` at a time, in the order one at a
-    time would draw them, and each block is aggregated by one call on
-    its (T, n, d) array; the rules give each instance the bits it gets
-    alone.
+    The specs must share n and B. Instances are drawn ``FUZZ_BLOCK`` at a
+    time, in the order one at a time would draw them, and each block is
+    aggregated by one call per spec on its (T, n, d) array; the rules give
+    each instance the bits it gets alone. Each instance's labelings are
+    scored once for every spec, so a spec's report does not depend on the
+    specs fuzzed with it.
     """
+    if not specs:
+        raise ConfigError("check_robustness needs at least one aggregator spec")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    n, B = spec.n, spec.B
+    n, B = specs[0].n, specs[0].B
+    if any((spec.n, spec.B) != (n, B) for spec in specs):
+        raise ConfigError("specs fuzzed together must share n and B, got "
+                          + ", ".join(f"{spec.name} (n={spec.n}, B={spec.B})" for spec in specs))
     if math.comb(n, B) > MAX_LABELINGS:
         raise ConfigError(f"n={n}, B={B} has {math.comb(n, B)} good-set labelings, "
                           f"more than the {MAX_LABELINGS} the fuzz checks")
     G = n - B
-    kappa_base = base_kappa(spec.rule, n, B, d)
-    asserted = kappa is not None or kappa_base is not None
+    coefficients = [kappa if kappa is not None else base_kappa(spec.rule, n, B, d)
+                    for spec in specs]
     labelings = _Labelings(n, B, d)
 
-    score = _Score()
-    kappa_emp = 0.0
+    scores = [_Score() for _ in specs]
+    kappa_emp = [0.0] * len(specs)
     for start in range(0, trials, FUZZ_BLOCK):
         mats = np.stack([_instance(rng, n, B, d)
                          for _ in range(min(FUZZ_BLOCK, trials - start))])
-        for mat, agg in zip(mats, aggregate(spec, mats)):
-            disp, good_max, dist_max, lhs = labelings.score(mat, agg)
-
+        aggs = [aggregate(spec, mats) for spec in specs]
+        for t, mat in enumerate(mats):
+            disp, good_max, dist_max, vbar = labelings.score(mat)
             positive = disp > 0
-            ratios = np.where(positive, lhs * G / np.maximum(disp, 1e-300), 0.0)
-            kappa_emp = max(kappa_emp, float(ratios.max()))
+            safe_disp = np.maximum(disp, 1e-300)
+            lev_c = np.where(positive, good_max * G / safe_disp, 0.0)
+            for j, spec in enumerate(specs):
+                lhs = np.linalg.norm(aggs[j][t] - vbar, axis=1)
+                ratios = np.where(positive, lhs * G / safe_disp, 0.0)
+                kappa_emp[j] = max(kappa_emp[j], float(ratios.max()))
+                if coefficients[j] is None:
+                    continue
+                kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
+                rhs = np.where(positive, kap / G * disp, 0.0)
+                tol = tol_rel * np.maximum(np.maximum(rhs, dist_max), 1.0)
+                scores[j].add(rhs + tol - lhs)
 
-            if not asserted:
-                continue
-            lev_c = np.where(positive, good_max * G / np.maximum(disp, 1e-300), 0.0)
-            kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
-            rhs = np.where(positive, kap / G * disp, 0.0)
-            tol = tol_rel * np.maximum(np.maximum(rhs, dist_max), 1.0)
-            score.add(rhs + tol - lhs)
-
-    return score.report(
-        f"robustness[{spec.name}]",
-        trials,
-        {
+    return [
+        score.report(f"robustness[{spec.name}]", trials, {
             "n": n,
             "B": B,
             "d": d,
             "tol_rel": tol_rel,
-            "asserted": asserted,
-            "kappa_theoretical": kappa if kappa is not None else kappa_base,
-            "kappa_empirical": kappa_emp,
-        },
-    )
+            "asserted": coefficient is not None,
+            "kappa_theoretical": coefficient,
+            "kappa_empirical": emp,
+        })
+        for spec, coefficient, score, emp in zip(specs, coefficients, scores, kappa_emp)
+    ]
 
 
 def _uniform_in_ball(rng: RngStream, d: int, radius: float) -> np.ndarray:

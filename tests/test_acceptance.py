@@ -90,7 +90,8 @@ def test_criterion_2_robustness_certification():
     """gm and cwmed (bare and NNM-composed) survive 1e4 adversarial fuzz
     instances at their closed-form coefficients; the plain mean breaks.
     These are the ``byzsim verify`` battery's entries, run at 1e4 trials:
-    the certified rules draw from stream (2024, 1), the mean from (2024, 3)."""
+    the certified rules share one pass over stream (2024, 1), the mean
+    draws from (2024, 3)."""
     n, B, d = 20, 3, 10
     trials = 10_000
     kappa_gm = 2.0 * (1.0 + B / (n - 2 * B))
@@ -98,20 +99,21 @@ def test_criterion_2_robustness_certification():
     assert theoretical_kappa(AggregatorSpec(rule="gm", n=n, B=B), d) == pytest.approx(kappa_gm)
     assert theoretical_kappa(AggregatorSpec(rule="cwmed", n=n, B=B), d) == pytest.approx(kappa_cw)
 
-    entries = {c.name: c for c in BATTERY if c.name.startswith("robustness[")}
+    entries = {c.names: c for c in BATTERY if c.names[0].startswith("robustness[")}
+    names = tuple(f"robustness[{rule}]" for rule in ("gm+nnm", "cwmed+nnm", "gm", "cwmed"))
+    check = entries[names]
+    assert check.expect == "certified"
     margins = {}
-    for rule in ("gm", "cwmed", "gm+nnm", "cwmed+nnm"):
-        check = entries[f"robustness[{rule}]"]
-        assert check.expect == "certified"
-        rep = check.make(2024, trials)
+    for rep in check.make(2024, trials):
         assert (rep.instances, rep.parameters["tol_rel"]) == (trials, 1e-9)
         assert rep.violations == 0, rep.name
         assert rep.parameters["kappa_empirical"] <= rep.parameters["kappa_theoretical"]
         margins[rep.name] = rep.worst_margin
+    assert tuple(margins) == names
 
-    check = entries["robustness[mean]"]
+    check = entries[("robustness[mean]",)]
     assert check.expect == "teeth"
-    mean_rep = check.make(2024, trials)
+    [mean_rep] = check.make(2024, trials)
     assert mean_rep.parameters["kappa_theoretical"] == 1e6
     assert mean_rep.instances == 1000
     assert mean_rep.violations > 0, "fuzzer lost its teeth: plain mean survived"

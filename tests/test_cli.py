@@ -87,6 +87,7 @@ def test_malformed_json_reports_line(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["run", "--log-every", "0"], "log_every must be >= 1", id="run-log-every-0"),
     pytest.param(["run", "--seed", "-1"], "seed must be >= 0", id="run-seed-minus-1"),
+    pytest.param(["run", "--seed", str(2**64)], "seed must be < 2**64", id="run-seed-2-to-64"),
     pytest.param(["tune", "--prefix", "0"], "--prefix must be >= 1", id="tune-prefix-0"),
 ])
 def test_bad_override_quotes_no_file_line(tmp_path, capsys, argv, message):
@@ -103,6 +104,27 @@ def test_verify_negative_seed_exits_with_error(tmp_path, capsys):
     rc = main(["verify", "--seed", "-1", "--trials", "10", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
+
+def test_verify_seed_past_64_bits_exits_with_error(tmp_path, capsys):
+    rc = main(["verify", "--seed", str(2**64), "--trials", "10", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be < 2**64\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sweep", "--config", str(CONFIGS / "ablation.json"), "--jobs", "0"],
+                 id="sweep-jobs-0"),
+    pytest.param(["tune", "--config", str(CONFIGS / "example_run.json"), "--prefix", "5",
+                  "--jobs", "0"], id="tune-jobs-0"),
+    pytest.param(["tune", "--config", str(CONFIGS / "example_run.json"), "--prefix", "5",
+                  "--jobs", "-3"], id="tune-jobs-minus-3"),
+])
+def test_jobs_below_one_exits_with_error(tmp_path, capsys, argv):
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_has_no_jobs_flag(tmp_path, capsys):
@@ -268,7 +290,7 @@ def test_verify_battery_smoke(tmp_path, capsys):
     payload = json.loads(reports[0].read_text())
     assert {"name", "instances", "violations", "worst_margin"} <= payload.keys()
     names = {json.loads(p.read_text())["name"] for p in reports}
-    assert names == {check.name for check in cli.BATTERY}
+    assert names == {name for check in cli.BATTERY for name in check.names}
 
 
 def test_verify_streams_its_lines(tmp_path, capsys, monkeypatch):

@@ -378,6 +378,13 @@ def test_negative_seed_rejected_with_file_line(tmp_path):
         load_config(path)
 
 
+def test_seed_past_64_bits_rejected_with_file_line(tmp_path):
+    path = write_config(tmp_path, {"seed": 2**64})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if '"seed"' in row)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: seed must be < 2\*\*64"):
+        load_config(path)
+
+
 def test_integer_accepted_for_float_field():
     cfg = parse_config({**BASE_CONFIG, "schedule": {"kind": "constant", "gamma0": 1},
                         "oracle": {"noise_variance": 0}})
@@ -421,6 +428,7 @@ def test_shipped_configs_parse():
                  "schedule.momentum_beta", id="axis-out-of-range"),
     pytest.param({"seeds": []}, {}, "seeds", id="empty-axis"),
     pytest.param({"seeds": [1, -1]}, {}, "seeds", id="negative-seed"),
+    pytest.param({"seeds": [1, 2**64]}, {}, "seeds", id="seed-past-64-bits"),
     # The line is the sweep's "B", not the base's.
     pytest.param({"B": [1, 3]}, {}, "B", id="B-makes-aggregator-invalid"),
     pytest.param({"seed": [1, 2]}, {}, "seed", id="path-of-a-named-axis"),

@@ -42,7 +42,7 @@ QUARTIC = ObjectiveSpec(kind="quartic", dim=10)
                                       ("gm", True), ("cwmed", True)])
 def test_certified_rules_have_no_violations(rule, nnm):
     spec = AggregatorSpec(rule=rule, n=20, B=3, nnm=nnm)
-    rep = check_robustness(spec, 500, 10, RngStream(1, 0))
+    [rep] = check_robustness(spec, trials=500, d=10, rng=RngStream(1, 0))
     assert rep.violations == 0
     assert rep.worst_margin >= 0
 
@@ -51,7 +51,7 @@ def test_certified_small_configurations():
     for n, B, d in [(5, 1, 1), (7, 2, 3), (12, 5, 10)]:
         for rule in ("gm", "cwmed"):
             spec = AggregatorSpec(rule=rule, n=n, B=B)
-            rep = check_robustness(spec, 300, d, RngStream(2, n * 100 + B))
+            [rep] = check_robustness(spec, trials=300, d=d, rng=RngStream(2, n * 100 + B))
             assert rep.violations == 0, (rule, n, B, d)
 
 
@@ -60,13 +60,13 @@ def test_nnm_without_byzantines_is_exact():
     global mean, so the aggregate must coincide with it."""
     for rule in ("gm", "cwmed"):
         spec = AggregatorSpec(rule=rule, n=6, B=0, nnm=True)
-        rep = check_robustness(spec, 200, 4, RngStream(12, 0))
+        [rep] = check_robustness(spec, trials=200, d=4, rng=RngStream(12, 0))
         assert rep.violations == 0, rule
 
 
 def test_empirical_kappa_below_theoretical():
     spec = AggregatorSpec(rule="gm", n=20, B=3)
-    rep = check_robustness(spec, 500, 10, RngStream(3, 0))
+    [rep] = check_robustness(spec, trials=500, d=10, rng=RngStream(3, 0))
     assert rep.parameters["kappa_empirical"] <= rep.parameters["kappa_theoretical"]
 
 
@@ -74,7 +74,7 @@ def test_mean_must_violate():
     """Fuzzer sanity: the plain mean with one Byzantine slot breaks any
     finite coefficient."""
     spec = AggregatorSpec(rule="mean", n=20, B=3)
-    rep = check_robustness(spec, 200, 10, RngStream(4, 0), kappa=1e6)
+    [rep] = check_robustness(spec, trials=200, d=10, rng=RngStream(4, 0), kappa=1e6)
     assert rep.violations > 0
     assert rep.worst_margin < 0
 
@@ -82,7 +82,7 @@ def test_mean_must_violate():
 def test_uncertified_rules_report_only():
     for rule in ("krum", "trimmed_mean"):
         spec = AggregatorSpec(rule=rule, n=20, B=3)
-        rep = check_robustness(spec, 200, 10, RngStream(5, 0))
+        [rep] = check_robustness(spec, trials=200, d=10, rng=RngStream(5, 0))
         assert rep.violations == 0  # nothing asserted
         assert not rep.parameters["asserted"]
         assert rep.parameters["kappa_empirical"] > 0
@@ -93,7 +93,7 @@ def test_too_many_labelings_rejected_before_any_draw():
     it draws an instance (the stand-in stream has no methods)."""
     spec = AggregatorSpec(rule="gm", n=30, B=8)
     with pytest.raises(ConfigError, match="5852925 good-set labelings"):
-        check_robustness(spec, 10, 4, object())
+        check_robustness(spec, trials=10, d=4, rng=object())
 
 
 def reference_check_robustness(spec, trials, d, rng, kappa=None, tol_rel=1e-9):
@@ -149,7 +149,8 @@ def test_blocked_fuzz_reports_equal_one_at_a_time(rule, nnm, kappa):
     the byte, on either side of each block boundary."""
     spec = AggregatorSpec(rule=rule, n=20, B=3, nnm=nnm)
     for trials in (1, FUZZ_BLOCK - 1, FUZZ_BLOCK, FUZZ_BLOCK + 1, 150):
-        got = check_robustness(spec, trials, 10, RngStream(21, trials), kappa=kappa)
+        [got] = check_robustness(spec, trials=trials, d=10, rng=RngStream(21, trials),
+                                 kappa=kappa)
         want = reference_check_robustness(spec, trials, 10, RngStream(21, trials), kappa=kappa)
         assert got.to_json() == want.to_json(), trials
 
@@ -159,8 +160,53 @@ def test_blocked_fuzz_matches_at_other_shapes(n, B, d):
     """Fewer coordinates than the coordinate sum's eight partial sums,
     more than eight, and no Byzantine slots at all."""
     spec = AggregatorSpec(rule="gm", n=n, B=B, nnm=True)
-    got = check_robustness(spec, 60, d, RngStream(22, n))
+    [got] = check_robustness(spec, trials=60, d=d, rng=RngStream(22, n))
     assert got.to_json() == reference_check_robustness(spec, 60, d, RngStream(22, n)).to_json()
+
+
+def _specs(n, B, names):
+    return [AggregatorSpec(rule=name.removesuffix("+nnm"), n=n, B=B, nnm=name.endswith("+nnm"))
+            for name in names]
+
+
+# Bare and NNM rules, as the battery shares stream 1; an asserted rule with
+# a reported one; every rule under one explicit coefficient.
+SHARED_GROUPS = [
+    pytest.param(("gm+nnm", "cwmed+nnm", "gm", "cwmed"), None, id="battery-stream-1"),
+    pytest.param(("gm", "krum"), None, id="asserted-and-reported"),
+    pytest.param(("mean", "cwmed+nnm", "trimmed_mean"), 1e6, id="explicit-kappa"),
+]
+
+
+def assert_shared_pass_equals_each_alone(names, kappa, n, B, d, trials, stream):
+    specs = _specs(n, B, names)
+    got = check_robustness(*specs, trials=trials, d=d, rng=RngStream(23, stream), kappa=kappa)
+    assert [rep.name for rep in got] == [f"robustness[{name}]" for name in names]
+    for spec, rep in zip(specs, got):
+        want = reference_check_robustness(spec, trials, d, RngStream(23, stream), kappa=kappa)
+        assert rep.to_json() == want.to_json(), (spec.name, trials)
+
+
+@pytest.mark.parametrize("names,kappa", SHARED_GROUPS)
+@pytest.mark.parametrize("trials", [1, FUZZ_BLOCK - 1, FUZZ_BLOCK, FUZZ_BLOCK + 1, 150])
+def test_shared_pass_reports_equal_each_spec_alone(names, kappa, trials):
+    """Rules fuzzed in one pass get, each, the report of the one-at-a-time
+    loop run for that rule alone, to the byte, on either side of each
+    block boundary."""
+    assert_shared_pass_equals_each_alone(names, kappa, 20, 3, 10, trials, trials)
+
+
+@pytest.mark.parametrize("names,kappa", SHARED_GROUPS)
+@pytest.mark.parametrize("n,B,d", [(7, 2, 3), (6, 0, 4), (8, 2, 17)])
+def test_shared_pass_matches_at_other_shapes(names, kappa, n, B, d):
+    assert_shared_pass_equals_each_alone(names, kappa, n, B, d, 60, n)
+
+
+@pytest.mark.parametrize("other", [dict(n=21, B=3), dict(n=20, B=2)], ids=["n", "B"])
+def test_shared_pass_rejects_specs_of_other_sizes(other):
+    specs = (AggregatorSpec(rule="gm", n=20, B=3), AggregatorSpec(rule="cwmed", **other))
+    with pytest.raises(ConfigError, match="must share n and B"):
+        check_robustness(*specs, trials=10, d=4, rng=object())
 
 
 def test_labelings_are_read_only():
@@ -194,8 +240,8 @@ def test_definition_bound_on_degenerate_cluster():
 
 def test_report_roundtrip_and_determinism():
     spec = AggregatorSpec(rule="gm", n=8, B=2)
-    rep1 = check_robustness(spec, 100, 4, RngStream(6, 0))
-    rep2 = check_robustness(spec, 100, 4, RngStream(6, 0))
+    [rep1] = check_robustness(spec, trials=100, d=4, rng=RngStream(6, 0))
+    [rep2] = check_robustness(spec, trials=100, d=4, rng=RngStream(6, 0))
     assert rep1.as_dict() == rep2.as_dict()
     parsed = json.loads(rep1.to_json())
     assert parsed["instances"] == 100

@@ -68,9 +68,11 @@ def _machine() -> dict:
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--workload", default="softmax-labelflip")
+    parser.add_argument("--workload", default="softmax-labelflip",
+                        choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=33.0)
@@ -78,9 +80,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
-    out =args.out or ROOT / f"BENCH_{args.workload}.json"
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    out = args.out or ROOT / f"BENCH_{args.workload}.json"
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
