@@ -24,6 +24,7 @@ the verification fuzzer reports their empirical ratio instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -80,20 +81,47 @@ def _as_matrix(vectors) -> np.ndarray:
     return mat
 
 
-def _take_rows(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows ``idx`` of an (n, d) matrix, or rows ``idx[t, ...]`` of each
-    matrix t of a (T, n, d) block, as one gather from the stacked rows."""
+def _stacked_rows(mat: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an (n, d) matrix or of a (T, n, d) block as one stacked
+    matrix, and ``idx`` as indices into it: ``idx[t, ...]`` are rows of
+    matrix t of a block."""
     if mat.ndim == 3:
         idx = idx + mat.shape[1] * np.arange(len(mat)).reshape(-1, *[1] * (idx.ndim - 1))
-    return mat.reshape(-1, mat.shape[-1]).take(idx, axis=0)
+    return mat.reshape(-1, mat.shape[-1]), idx
 
 
-def _sq_dists(mat: np.ndarray) -> np.ndarray:
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of n rows as two index arrays, and the (n, n) map
+    from a row pair to its slot in the distance buffer of ``_sq_dists``:
+    slot 0 for the diagonal, slot p + 1 for pair p either way round."""
+    i, j = np.triu_indices(n, 1)
+    slots = np.zeros((n, n), dtype=np.intp)
+    slots[i, j] = slots[j, i] = np.arange(1, len(i) + 1)
+    for cached in (i, j, slots):
+        cached.flags.writeable = False
+    return i, j, slots
+
+
+def _sq_dists(mat: np.ndarray, diagonal: float = 0.0) -> np.ndarray:
     """(..., n, n) squared Euclidean distances from direct differences,
     which keep their precision when the rows share a large common offset
-    (the expansion |a|^2 + |b|^2 - 2a.b cancels there)."""
-    diff = mat[..., :, None, :] - mat[..., None, :, :]
-    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+    (the expansion |a|^2 + |b|^2 - 2a.b cancels there), with ``diagonal``
+    on the diagonal.
+
+    Each pair i < j is computed once and mirrored: (a - b)^2 equals
+    (b - a)^2 bit for bit, so every entry has the bits of the full n x n
+    difference tensor, at half its size and less than half its time (a
+    (30, 20, 10) block in 117-145 us against 228-361 us, minimum of
+    repeats on a shared 2-core x86-64 VM, numpy 2.4.6).
+    """
+    i, j, slots = _pairs(mat.shape[-2])
+    diff = mat.take(i, axis=-2)
+    diff -= mat.take(j, axis=-2)
+    sq = np.empty(mat.shape[:-2] + (len(i) + 1,))
+    sq[..., 0] = diagonal
+    np.einsum("...pk,...pk->...p", diff, diff, out=sq[..., 1:])
+    return sq.take(slots, axis=-1)
 
 
 def nnm_transform(vectors, B: int) -> np.ndarray:
@@ -104,7 +132,14 @@ def nnm_transform(vectors, B: int) -> np.ndarray:
     if not 0 <= B < n / 2:
         raise ConfigError(f"need 0 <= B < n/2, got B={B}, n={n}")
     order = np.argsort(_sq_dists(mat), axis=-1, kind="stable")[..., :n - B]
-    return _take_rows(mat, order).mean(axis=-2)
+    rows, order = _stacked_rows(mat, order)
+    if mat.shape[-1] == 1:
+        # The neighbour axis is contiguous here, and numpy sums it pairwise.
+        return rows.take(order, axis=0).mean(axis=-2)
+    # Neighbour-major, (G, ..., n, d): numpy adds the G rows one after
+    # another in sorted order, the order a mean over the neighbour axis of
+    # a (..., n, G, d) gather adds them in when d >= 2.
+    return np.add.reduce(rows.take(np.moveaxis(order, -1, 0), axis=0), axis=0) / (n - B)
 
 
 def krum(vectors, B: int) -> np.ndarray:
@@ -116,11 +151,9 @@ def krum(vectors, B: int) -> np.ndarray:
     m = n - B - 2
     if m < 1:
         raise ConfigError(f"krum needs n - B - 2 >= 1, got n={n}, B={B}")
-    d2 = _sq_dists(mat)
-    diagonal = np.arange(n)
-    d2[..., diagonal, diagonal] = np.inf
-    scores = np.sort(d2, axis=-1)[..., :m].sum(axis=-1)
-    return _take_rows(mat, np.argmin(scores, axis=-1))
+    scores = np.sort(_sq_dists(mat, diagonal=np.inf), axis=-1)[..., :m].sum(axis=-1)
+    rows, best = _stacked_rows(mat, np.argmin(scores, axis=-1))
+    return rows.take(best, axis=0)
 
 
 def _gm_objective(y: np.ndarray, mat: np.ndarray) -> np.ndarray:

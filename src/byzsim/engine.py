@@ -208,8 +208,13 @@ def validate(config: RunConfig) -> None:
         raise ConfigError("K must be >= 1")
     if config.log_every < 1:
         raise ConfigError("log_every must be >= 1")
-    if config.attack.kind == "label_flip" and not config.objective.is_classification:
-        raise ConfigError("label_flip requires a classification objective")
+    if config.attack.kind == "label_flip":
+        if not config.objective.is_classification:
+            raise ConfigError("label_flip requires a classification objective")
+        C = config.objective.n_classes
+        if config.attack.label_shift % C == 0:
+            raise ConfigError(f"'label_shift' in attack: {config.attack.label_shift} is a "
+                              f"multiple of n_classes = {C}, so label_flip flips no label")
     if config.objective.is_classification and config.objective.n_workers < config.n:
         raise ConfigError("softmax objective must be sized for at least n workers")
     table = config.oracle.labels

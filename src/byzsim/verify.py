@@ -106,9 +106,11 @@ class _Score:
 # The robustness fuzz checks every labeling; C(20, 3) = 1140 is the most
 # any caller uses.
 MAX_LABELINGS = 5000
-# Fuzz instances drawn and aggregated at once. A block's largest
-# temporary is the NNM difference tensor, FUZZ_BLOCK x n x n x d floats:
-# 1.6 MB at n=20, d=10, as much as the labeling buffers of ``_Labelings``.
+# Fuzz instances drawn and aggregated at once. The pairwise differences
+# of a block take FUZZ_BLOCK x n(n-1)/2 x d floats (0.76 MB at n=20,
+# d=10); its largest temporary is NNM's neighbour gather, FUZZ_BLOCK x
+# (n - B) x n x d floats (1.4 MB at B=3), less than the labeling buffers
+# of ``_Labelings``.
 FUZZ_BLOCK = 50
 
 

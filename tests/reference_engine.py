@@ -13,6 +13,12 @@ draws for all workers at once. ``reference_gradient_with_labels`` and
 ``reference_softmax_value`` are the softmax gradient and value in their
 row-major (N, C) form, before ``objectives`` went class-major; every
 output of the class-major code must equal theirs bit for bit.
+
+``reference_sq_dists``, ``reference_nnm_transform`` and ``reference_krum``
+are the aggregators' distance kernel, NNM and Krum as they were before the
+kernel computed each pair once: all n x n differences, and the neighbour
+mean as a ``mean`` over the gathered (..., n, G, d) array. The current
+kernels must return their bits.
 """
 
 import math
@@ -99,6 +105,49 @@ def reference_gradient_with_labels(
     probs /= probs.sum(axis=1, keepdims=True)
     probs[np.arange(len(labels)), labels] -= 1.0
     return (probs.T @ feats).ravel() / len(labels)
+
+
+def _reference_take_rows(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of an (n, d) matrix, or rows ``idx[t, ...]`` of each
+    matrix t of a (T, n, d) block, as one gather from the stacked rows."""
+    if mat.ndim == 3:
+        idx = idx + mat.shape[1] * np.arange(len(mat)).reshape(-1, *[1] * (idx.ndim - 1))
+    return mat.reshape(-1, mat.shape[-1]).take(idx, axis=0)
+
+
+def reference_sq_dists(mat: np.ndarray) -> np.ndarray:
+    """(..., n, n) squared Euclidean distances from direct differences,
+    which keep their precision when the rows share a large common offset
+    (the expansion |a|^2 + |b|^2 - 2a.b cancels there)."""
+    diff = mat[..., :, None, :] - mat[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+
+
+def reference_nnm_transform(vectors, B: int) -> np.ndarray:
+    """Replace each vector by the mean of its n - B nearest vectors
+    (Euclidean distance, pivot included, ties to the smaller index)."""
+    mat = np.asarray(vectors, dtype=float)
+    n = mat.shape[-2]
+    if not 0 <= B < n / 2:
+        raise ConfigError(f"need 0 <= B < n/2, got B={B}, n={n}")
+    order = np.argsort(reference_sq_dists(mat), axis=-1, kind="stable")[..., :n - B]
+    return _reference_take_rows(mat, order).mean(axis=-2)
+
+
+def reference_krum(vectors, B: int) -> np.ndarray:
+    """Return the input vector whose summed squared distance to its
+    n - B - 2 nearest other vectors is smallest (ties to the smaller
+    index)."""
+    mat = np.asarray(vectors, dtype=float)
+    n = mat.shape[-2]
+    m = n - B - 2
+    if m < 1:
+        raise ConfigError(f"krum needs n - B - 2 >= 1, got n={n}, B={B}")
+    d2 = reference_sq_dists(mat)
+    diagonal = np.arange(n)
+    d2[..., diagonal, diagonal] = np.inf
+    scores = np.sort(d2, axis=-1)[..., :m].sum(axis=-1)
+    return _reference_take_rows(mat, np.argmin(scores, axis=-1))
 
 
 def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:

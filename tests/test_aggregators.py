@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from byzsim.aggregators import (
     AggregatorSpec,
+    _sq_dists,
     aggregate,
     coordinate_median,
     geometric_median,
@@ -18,6 +19,7 @@ from byzsim.aggregators import (
     trimmed_mean,
 )
 from byzsim.core import ConfigError
+from reference_engine import reference_krum, reference_nnm_transform, reference_sq_dists
 
 finite_vectors = hnp.arrays(
     dtype=np.float64,
@@ -202,6 +204,44 @@ def test_krum_matches_reference(mat, B):
     if n - B - 2 < 1 or B >= n / 2:
         B = 0
     np.testing.assert_array_equal(krum(mat, B), krum_reference(mat, n, B))
+
+
+@st.composite
+def distance_instances(draw):
+    """An (n, d) matrix or an (R, n, d) block with a budget B, the last B
+    rows of each matrix copies of one vector (exact distance ties), at a
+    common offset up to 1e8 and a scale from 1e-8 to 1e8; on integer
+    grids, most distances tie."""
+    n = draw(st.integers(3, 30))
+    B = draw(st.integers(0, (n - 1) // 2))
+    d = draw(st.sampled_from([1, 2, 3, 4, 10, 17, 200]))
+    R = draw(st.sampled_from([None, 1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, d) if R is None else (R, n, d)
+    if draw(st.booleans()):
+        mat = rng.integers(-3, 4, size=shape).astype(float)
+    else:
+        mat = rng.normal(size=shape)
+    if B and draw(st.booleans()):
+        mat[..., n - B:, :] = mat[..., n - B:n - B + 1, :]
+    scale = draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e4, 1e8]))
+    return mat * scale + offset * rng.normal(size=d), B
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_instances())
+# At d = 1 and G >= 8, numpy sums the neighbours pairwise, not in order.
+@example((np.random.default_rng(1).normal(size=(2, 30, 1)) + 1e4, 0))
+def test_distance_kernels_keep_the_bits_of_all_pairs(instance):
+    """Distances, NNM and Krum equal, bit for bit, the kernels that took
+    all n x n differences and the neighbour mean as one ``mean``."""
+    mat, B = instance
+    n = mat.shape[-2]
+    assert np.array_equal(_sq_dists(mat), reference_sq_dists(mat))
+    assert np.array_equal(nnm_transform(mat, B), reference_nnm_transform(mat, B))
+    if n - B - 2 >= 1:
+        assert np.array_equal(krum(mat, B), reference_krum(mat, B))
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,29 @@ def test_seed_past_64_bits_rejected_with_file_line(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("n_classes, attack, key", [
+    pytest.param(4, {"kind": "label_flip", "label_shift": 4}, "label_shift", id="shift-4-of-4"),
+    pytest.param(4, {"kind": "label_flip", "label_shift": -8}, "label_shift",
+                 id="shift-minus-8-of-4"),
+    # The default shift, 5, over 5 classes: no key to point at but the section.
+    pytest.param(5, {"kind": "label_flip"}, "attack", id="default-shift-5-of-5"),
+])
+def test_label_flip_that_flips_nothing_rejected_with_file_line(tmp_path, n_classes, attack, key):
+    """A label shift that is a multiple of n_classes maps every label to
+    itself, so the "poisoned" workers would be honest."""
+    objective = {"kind": "softmax", "dim": 2 * n_classes, "n_classes": n_classes,
+                 "feature_dim": 2, "samples_per_worker": 2, "n_workers": 6}
+    path = write_config(tmp_path, {"objective": objective, "attack": attack})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if f'"{key}"' in row)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: 'label_shift' in attack: "
+                                              rf"{attack.get('label_shift', 5)} is a multiple "
+                                              rf"of n_classes = {n_classes}"):
+        load_config(path)
+    path = write_config(tmp_path, {"objective": objective,
+                                   "attack": {"kind": "label_flip", "label_shift": n_classes + 1}})
+    assert load_config(path).attack.label_shift == n_classes + 1
+
+
 def test_integer_accepted_for_float_field():
     cfg = parse_config({**BASE_CONFIG, "schedule": {"kind": "constant", "gamma0": 1},
                         "oracle": {"noise_variance": 0}})

@@ -11,7 +11,9 @@ tree first when i is odd. The end-to-end metrics of every run are written
 to ``BENCH_<workload>.json`` (or ``--out``): each side's median and
 quartiles, how many pairs the working tree won on each metric (lower or
 higher is better as ``BENCHMARK.json`` declares), the seed and the
-machine (cores, Python, numpy, OpenBLAS).
+machine (cores, Python, numpy, OpenBLAS, the SIMD extensions numpy
+dispatches to, and any ``OPENBLAS_CORETYPE`` or ``NPY_DISABLE_CPU_FEATURES``
+set for the runs).
 """
 
 from __future__ import annotations
@@ -59,12 +61,20 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+# Settings that choose the BLAS kernels and numpy's SIMD dispatch of the
+# runs, which inherit this environment: times and bits depend on both.
+DISPATCH_ENV = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+
 def _machine() -> dict:
     import numpy as np
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return {"cores": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+            "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "simd": config["SIMD Extensions"]["found"],
+            "env": {name: os.environ[name] for name in DISPATCH_ENV if name in os.environ}}
 
 
 def main(argv=None) -> int:
