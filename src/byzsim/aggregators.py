@@ -9,9 +9,11 @@ drops a row from its passes once that row has converged. ``aggregate``
 dispatches on an :class:`AggregatorSpec`, which holds only the rule and
 whether nearest-neighbor mixing (NNM) runs first: each input is replaced
 by the mean of its G = n - B nearest inputs (itself included), which
-contracts heterogeneity before the robust rule runs. Every other setting
-follows from the run: Krum and the trimmed mean take the run's B, and
-Weiszfeld runs with the ``geometric_median`` defaults.
+contracts heterogeneity before the robust rule runs. NNM adds the G
+neighbours in sorted order, one after another, at every d, and divides
+the sum by G. Every other setting follows from the run: Krum and the
+trimmed mean take the run's B, and Weiszfeld runs with the
+``geometric_median`` defaults.
 
 ``theoretical_kappa`` exposes the closed-form robustness coefficients
 where they exist: geometric median and coordinate-wise median have
@@ -133,12 +135,8 @@ def nnm_transform(vectors, B: int) -> np.ndarray:
         raise ConfigError(f"need 0 <= B < n/2, got B={B}, n={n}")
     order = np.argsort(_sq_dists(mat), axis=-1, kind="stable")[..., :n - B]
     rows, order = _stacked_rows(mat, order)
-    if mat.shape[-1] == 1:
-        # The neighbour axis is contiguous here, and numpy sums it pairwise.
-        return rows.take(order, axis=0).mean(axis=-2)
     # Neighbour-major, (G, ..., n, d): numpy adds the G rows one after
-    # another in sorted order, the order a mean over the neighbour axis of
-    # a (..., n, G, d) gather adds them in when d >= 2.
+    # another in sorted order, at every d.
     return np.add.reduce(rows.take(np.moveaxis(order, -1, 0), axis=0), axis=0) / (n - B)
 
 

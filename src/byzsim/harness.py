@@ -5,7 +5,8 @@ Config files are JSON with a ``schema`` version field. One function
 (``_build``) reads them by walking the fields and type hints of
 ``RunConfig`` and its section dataclasses: every key must name a field
 and every value must have the field's type (a JSON integer is accepted
-for a float; an enumerated field takes one of the names its
+for a float, and ``NaN`` and ``Infinity``, which Python's ``json`` reads,
+are not; an enumerated field takes one of the names its
 ``Literal[...]`` hint lists), and an omitted field takes its ``DEFAULTS``
 entry or else the dataclass default. ``config_to_dict`` walks the same
 fields back out.
@@ -194,8 +195,9 @@ TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a s
 def _typed(hint, raw, key: str, where: str):
     """``raw`` checked against the type hint ``hint`` and returned as the
     field holds it: lists become tuples, sections become dataclasses, and
-    an integer becomes a float where the hint is ``float``. A
-    ``Literal[...]`` hint admits only the names it lists."""
+    an integer becomes a float where the hint is ``float``, which admits
+    only finite numbers. A ``Literal[...]`` hint admits only the names it
+    lists."""
     if typing.get_origin(hint) is typing.Literal:
         raw = _typed(type(typing.get_args(hint)[0]), raw, key, where)
         check_choice(hint, raw, key, f" in {where}")
@@ -211,9 +213,15 @@ def _typed(hint, raw, key: str, where: str):
             raise ConfigError(f"{key!r} in {where} must be a list, got {raw!r}")
         return tuple(_typed(typing.get_args(hint)[0], v, key, where) for v in raw)
     if hint is float and isinstance(raw, int) and not isinstance(raw, bool):
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError:
+            raise ConfigError(f"{key!r} in {where} must be a finite number, "
+                              "got an integer past the float range") from None
     if not isinstance(raw, hint) or (isinstance(raw, bool) and hint is not bool):
         raise ConfigError(f"{key!r} in {where} must be {TYPE_NAMES[hint]}, got {raw!r}")
+    if hint is float and not math.isfinite(raw):
+        raise ConfigError(f"{key!r} in {where} must be a finite number, got {raw!r}")
     return raw
 
 
@@ -398,6 +406,10 @@ class ExperimentManifest:
     cells: list[tuple[RunConfig, dict]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # A base may omit its schema; one it gives is checked, at its own line.
+        if self.base.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ConfigError(f"'schema' in base must be {SCHEMA_VERSION}, "
+                              f"got {self.base['schema']!r}")
         base = self.config({})  # the base alone, so that its own errors name no axis
         named_paths = {path: key for key, (path, _) in NAMED_AXES.items()}
         for key, values in self.axes.items():
@@ -443,8 +455,9 @@ class ExperimentManifest:
         )
 
     def config(self, changes: dict) -> RunConfig:
-        """The base config with ``changes`` set (``with_changes``), parsed."""
-        return parse_config(with_changes(self.base, {"schema": SCHEMA_VERSION, **changes}))
+        """The base config with ``changes`` set (``with_changes``), parsed;
+        a base that omits its schema takes the current one."""
+        return parse_config(with_changes({"schema": SCHEMA_VERSION, **self.base}, changes))
 
     def _cells(self) -> list[tuple[RunConfig, dict]]:
         """One (config, path-axis values) pair per sweep cell, one cell per

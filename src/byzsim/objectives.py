@@ -23,9 +23,8 @@ The softmax arithmetic runs class-major. The logits are computed as
 (N, C) rows, ``feats @ w.T``, and copied to a contiguous (C, N) array, so
 that the max, subtract, exp, sum and divide each run over N-long rows
 instead of numpy's 10-long inner loops over each sample's C classes. The
-sum over classes reproduces, row by row, the order in which numpy's
-pairwise sum adds a C-long row (``_class_sum``), so the result equals the
-row-major ``sum(axis=1)`` bit for bit. The probabilities are copied back
+sum over classes, ``z.sum(axis=0)``, adds the C rows one after another:
+a running sum in class order, at every C. The probabilities are copied back
 to (N, C) rows before the final ``probs.T @ feats``: the same product
 taken from the (C, N) array rounds differently in some draws, most likely
 because OpenBLAS takes another path for small matrices.
@@ -178,36 +177,11 @@ def _shifted_logits(spec: ObjectiveSpec, x: np.ndarray, feats: np.ndarray) -> np
     return z
 
 
-def _class_sum(z: np.ndarray) -> np.ndarray:
-    """The sum of the C rows of a nonnegative (C, N) array, each column
-    bit for bit ``z.T.sum(axis=1)``: the rows are added in the order of
-    numpy's pairwise sum over a C-long row. Below 8 terms that is one
-    running sum; up to 128, 8 running sums over every eighth term, joined
-    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the terms left over;
-    above 128, the two halves (the first a multiple of 8 long) apart."""
-    C = len(z)
-    if C > 128:
-        half = C // 2 - C // 2 % 8
-        return _class_sum(z[:half]) + _class_sum(z[half:])
-    if C < 8:
-        s = z[0].copy()
-        rest = z[1:]
-    else:
-        r = z[:8].copy()
-        for i in range(8, C - C % 8, 8):
-            r += z[i:i + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = z[C - C % 8:]
-    for row in rest:
-        s += row
-    return s
-
-
 def _softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     """Mean cross-entropy at the flattened weight matrix x."""
     feats, labels = softmax_dataset(spec)
     z = _shifted_logits(spec, x, feats)
-    logz = np.log(_class_sum(np.exp(z)))
+    logz = np.log(np.exp(z).sum(axis=0))
     return float(np.mean(logz - z[labels, np.arange(len(labels))]))
 
 
@@ -247,7 +221,7 @@ def gradient_with_labels(
         raise ConfigError(f"labels must lie in [0, {spec.n_classes})")
     z = _shifted_logits(spec, x, feats)
     np.exp(z, out=z)
-    z /= _class_sum(z)
+    z /= z.sum(axis=0)
     # Back to (N, C) rows: the final matmul on the (C, N) array itself
     # rounds differently.
     probs = np.ascontiguousarray(z.T)

@@ -21,13 +21,12 @@ it draws its instances ``FUZZ_BLOCK`` at a time, in the order one at a
 time would draw them, and aggregates each block with one call per rule
 on its (T, n, d) array: every rule takes that leading batch axis and
 gives each instance the bits it gets alone. It then scores each
-instance's C(n, B) labelings once, in (n, labelings) buffers allocated
-once per check, one coordinate at a time, adding the squared coordinates
-in the order numpy's pairwise summation adds them, so every score equals
-the one the (labelings, n, d) difference tensor gives, without that
-tensor. Only the distance of each rule's aggregate to the good means
-differs between the rules, so each rule's report equals the one a pass
-of its own would give, byte for byte.
+instance's C(n, B) labelings once, one coordinate at a time, adding the
+d squared coordinates as a running sum into one (n, labelings)
+accumulator allocated once per check, without the (labelings, n, d)
+difference tensor. Only the distance of each rule's aggregate to the
+good means differs between the rules, so each rule's report equals the
+one a pass of its own would give, byte for byte.
 
 Heterogeneity needs no sampling. A worker's local gradient is
 grad f(x) + s_i, so grad f_i(x) - grad f(x) = s_i at every x, and the
@@ -109,8 +108,9 @@ MAX_LABELINGS = 5000
 # Fuzz instances drawn and aggregated at once. The pairwise differences
 # of a block take FUZZ_BLOCK x n(n-1)/2 x d floats (0.76 MB at n=20,
 # d=10); its largest temporary is NNM's neighbour gather, FUZZ_BLOCK x
-# (n - B) x n x d floats (1.4 MB at B=3), less than the labeling buffers
-# of ``_Labelings``.
+# (n - B) x n x d floats (1.4 MB at B=3). The accumulator and scratch
+# buffer of ``_Labelings`` take 2 x n x C(n, B) floats (0.36 MB at n=20,
+# B=3) whatever the block.
 FUZZ_BLOCK = 50
 
 
@@ -174,55 +174,21 @@ def _instance(rng: RngStream, n: int, B: int, d: int) -> np.ndarray:
     return mat
 
 
-def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Sum of the arrays ``term(k, out)`` for k in [lo, hi) into acc[0],
-    added in the order numpy's pairwise summation adds a contiguous axis
-    of that length: a plain loop below 8 terms; up to 128 terms, eight
-    interleaved partial sums combined as a tree, then the tail; above
-    that, the two halves (split at a multiple of 8) summed alike. ``term``
-    writes term k into ``out`` and returns it; acc holds 8 buffers when
-    there are 8 terms or more."""
-    count = hi - lo
-    if count < 8:
-        term(lo, acc[0])
-        for k in range(lo + 1, hi):
-            acc[0] += term(k, tmp)
-    elif count <= 128:
-        for j in range(8):
-            term(lo + j, acc[j])
-        tail = hi - count % 8
-        for k in range(lo + 8, tail):
-            acc[(k - lo) % 8] += term(k, tmp)
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            acc[a] += acc[b]
-        for k in range(tail, hi):
-            acc[0] += term(k, tmp)
-    else:
-        half = count // 2
-        half -= half % 8
-        _pairwise_sum(term, lo, lo + half, acc, tmp)
-        acc[0] += _pairwise_sum(term, lo + half, hi, np.empty_like(acc), tmp)
-    return acc[0]
-
-
 class _Labelings:
-    """Every good-set labeling of an (n, d) instance, scored in (n,
-    labelings) buffers allocated once per check, one coordinate at a time.
+    """Every good-set labeling of an (n, d) instance, scored one coordinate
+    at a time: the distance of row i to the good mean of labeling s adds
+    its d squared coordinates as a running sum, into an (n, labelings)
+    accumulator that, with one scratch buffer of its size, is allocated
+    once per check."""
 
-    The distance of row i to the good mean of labeling s adds its squared
-    coordinates in the order ``np.linalg.norm(..., axis=-1)`` adds them
-    (``_pairwise_sum``), so every score equals the one taken from the
-    (labelings, n, d) difference tensor, bit for bit, without that tensor.
-    """
-
-    def __init__(self, n: int, B: int, d: int):
+    def __init__(self, n: int, B: int):
         self.subs = _byz_subsets(n, B)
         S = len(self.subs)
         # Flat indices of each labeling's Byzantine rows into an (S, n)
         # array and into an (n, S) array.
         self.byz_by_labeling = self.subs + n * np.arange(S)[:, None]
         self.byz_by_row = self.subs.T * S + np.arange(S)
-        self.acc = np.empty((1 if d < 8 else 8, n, S))
+        self.acc = np.empty((n, S))
         self.tmp = np.empty((n, S))
 
     def score(self, mat: np.ndarray):
@@ -239,8 +205,10 @@ class _Labelings:
             np.subtract(mat_t[k][:, None], out, out=out)
             return np.multiply(out, out, out=out)
 
-        dist = np.sqrt(_pairwise_sum(square, 0, mat.shape[1], self.acc, self.tmp),
-                       out=self.acc[0])
+        square(0, self.acc)
+        for k in range(1, mat.shape[1]):
+            self.acc += square(k, self.tmp)
+        dist = np.sqrt(self.acc, out=self.acc)
         by_labeling = np.ascontiguousarray(dist.T)
         disp = by_labeling.sum(axis=1) - by_labeling.take(self.byz_by_labeling).sum(axis=1)
         np.copyto(self.tmp, dist)
@@ -289,7 +257,7 @@ def check_robustness(
     G = n - B
     coefficients = [kappa if kappa is not None else base_kappa(spec.rule, n, B, d)
                     for spec in specs]
-    labelings = _Labelings(n, B, d)
+    labelings = _Labelings(n, B)
 
     scores = [_Score() for _ in specs]
     kappa_emp = [0.0] * len(specs)

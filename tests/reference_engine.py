@@ -11,14 +11,17 @@ this loop's result for that config alone, bit for bit.
 ``stochastic_gradient`` is one worker's oracle draw, which the engine
 draws for all workers at once. ``reference_gradient_with_labels`` and
 ``reference_softmax_value`` are the softmax gradient and value in their
-row-major (N, C) form, before ``objectives`` went class-major; every
-output of the class-major code must equal theirs bit for bit.
+row-major (N, C) form, before ``objectives`` went class-major, with the
+classes of each row added by a running loop (``running_class_sum``);
+every output of the class-major code must equal theirs bit for bit.
 
 ``reference_sq_dists``, ``reference_nnm_transform`` and ``reference_krum``
 are the aggregators' distance kernel, NNM and Krum as they were before the
 kernel computed each pair once: all n x n differences, and the neighbour
-mean as a ``mean`` over the gathered (..., n, G, d) array. The current
-kernels must return their bits.
+mean as a ``mean`` over the gathered (..., n, G, d) array
+(``reference_nnm_neighbours``). The current kernels must return their
+bits, except NNM at d = 1: there that ``mean`` runs over a contiguous
+axis, which numpy sums pairwise, where NNM adds the neighbours in order.
 """
 
 import math
@@ -74,12 +77,21 @@ def local_gradient(spec: ObjectiveSpec, x: np.ndarray, shift: np.ndarray) -> np.
     return gradient(spec, x) + shift
 
 
+def running_class_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum of each row of an (N, C) array, its C entries added one
+    after another in class order."""
+    total = rows[:, 0].copy()
+    for c in range(1, rows.shape[1]):
+        total += rows[:, c]
+    return total
+
+
 def reference_softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     """Mean cross-entropy at the flattened weight matrix x."""
     feats, labels = softmax_dataset(spec)
     logits = feats @ x.reshape(spec.n_classes, spec.feature_dim).T
     logits -= logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(logits).sum(axis=1))
+    logz = np.log(running_class_sum(np.exp(logits)))
     return float(np.mean(logz - logits[np.arange(len(labels)), labels]))
 
 
@@ -102,7 +114,7 @@ def reference_gradient_with_labels(
     logits = feats @ w.T
     logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= running_class_sum(probs)[:, None]
     probs[np.arange(len(labels)), labels] -= 1.0
     return (probs.T @ feats).ravel() / len(labels)
 
@@ -123,15 +135,21 @@ def reference_sq_dists(mat: np.ndarray) -> np.ndarray:
     return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
-def reference_nnm_transform(vectors, B: int) -> np.ndarray:
-    """Replace each vector by the mean of its n - B nearest vectors
-    (Euclidean distance, pivot included, ties to the smaller index)."""
+def reference_nnm_neighbours(vectors, B: int) -> np.ndarray:
+    """The (..., n, G, d) array of each vector's n - B nearest vectors, in
+    sorted order (Euclidean distance, pivot included, ties to the smaller
+    index)."""
     mat = np.asarray(vectors, dtype=float)
     n = mat.shape[-2]
     if not 0 <= B < n / 2:
         raise ConfigError(f"need 0 <= B < n/2, got B={B}, n={n}")
     order = np.argsort(reference_sq_dists(mat), axis=-1, kind="stable")[..., :n - B]
-    return _reference_take_rows(mat, order).mean(axis=-2)
+    return _reference_take_rows(mat, order)
+
+
+def reference_nnm_transform(vectors, B: int) -> np.ndarray:
+    """Replace each vector by the mean of its n - B nearest vectors."""
+    return reference_nnm_neighbours(vectors, B).mean(axis=-2)
 
 
 def reference_krum(vectors, B: int) -> np.ndarray:

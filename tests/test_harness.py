@@ -408,6 +408,60 @@ def test_label_flip_that_flips_nothing_rejected_with_file_line(tmp_path, n_class
     assert load_config(path).attack.label_shift == n_classes + 1
 
 
+@pytest.mark.parametrize("overrides, key, section, value", [
+    pytest.param({"schedule": {"kind": "constant", "gamma0": math.nan}}, "gamma0", "schedule",
+                 "nan", id="gamma0-nan"),
+    pytest.param({"oracle": {"noise_variance": math.inf}}, "noise_variance", "oracle", "inf",
+                 id="noise-variance-infinity"),
+    pytest.param({"attack": {"kind": "alie", "alie_z": -math.inf}}, "alie_z", "attack", "-inf",
+                 id="alie-z-minus-infinity"),
+    pytest.param({"x0": [1.0] * 9 + [math.nan]}, "x0", "config", "nan", id="x0-entry-nan"),
+    pytest.param({"oracle": {"shift_variance": 10**400}}, "shift_variance", "oracle",
+                 "an integer past the float range", id="integer-past-float-range"),
+])
+def test_non_finite_float_rejected_with_file_line(tmp_path, overrides, key, section, value):
+    """Python's ``json`` reads ``NaN`` and ``Infinity``, and integers of
+    any size; no float field takes them."""
+    path = write_config(tmp_path, overrides)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if f'"{key}"' in row)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: '{key}' in {section} "
+                                              rf"must be a finite number, got {value}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("manifest, key", [
+    pytest.param({"tuning": {"grid": [0.1, math.inf]}}, "grid", id="grid-infinity"),
+    pytest.param({"tuning": {"enabled": False}, "sweep": {"schedule.gamma0": [0.1, math.nan]}},
+                 "schedule.gamma0", id="gamma0-axis-nan"),
+    pytest.param({"base": {**BASE_CONFIG, "oracle": {"shift_variance": math.nan}}},
+                 "shift_variance", id="base-nan"),
+])
+def test_non_finite_float_in_manifest_rejected_with_file_line(tmp_path, manifest, key):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"schema": 1, "base": BASE_CONFIG, **manifest}, indent=2))
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if f'"{key}"' in row)
+    with pytest.raises(ConfigFileError, match=rf"manifest\.json:{line}: .*must be a finite number"):
+        load_manifest(path)
+
+
+def test_manifest_base_keeps_its_own_schema(tmp_path):
+    """A base that gives a schema is held to it, at the base's line; a base
+    that omits it takes the manifest's."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"schema": 1, "base": {**BASE_CONFIG, "schema": 7}}, indent=2))
+    rows = path.read_text().splitlines()
+    line = next(i for i, row in enumerate(rows, 1) if '"schema": 7' in row)
+    assert line > next(i for i, row in enumerate(rows, 1) if '"base"' in row)
+    with pytest.raises(ConfigFileError, match=rf"manifest\.json:{line}: 'schema' in base must "
+                                              rf"be 1, got 7"):
+        load_manifest(path)
+    without = {k: v for k, v in BASE_CONFIG.items() if k != "schema"}
+    path.write_text(json.dumps({"schema": 1, "base": without}, indent=2))
+    assert [config_to_dict(c) for c, _ in load_manifest(path).cells] == [
+        config_to_dict(c)
+        for c, _ in ExperimentManifest.from_dict({"schema": 1, "base": BASE_CONFIG}).cells]
+
+
 def test_integer_accepted_for_float_field():
     cfg = parse_config({**BASE_CONFIG, "schedule": {"kind": "constant", "gamma0": 1},
                         "oracle": {"noise_variance": 0}})

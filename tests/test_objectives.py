@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from byzsim.core import ConfigError, RngStream
 from byzsim.objectives import (
     ObjectiveSpec,
-    _class_sum,
     default_smoothness,
     gradient,
     gradient_with_labels,
@@ -210,11 +209,16 @@ def test_softmax_flipped_labels_change_gradient():
          scale=30.0, seed=0)
 @example(n_classes=16, feature_dim=3, rows=7, workers=1, shard=True, label_shift=0,
          scale=1e-3, seed=1)
+@example(n_classes=129, feature_dim=2, rows=300, workers=2, shard=False, label_shift=64,
+         scale=10.0, seed=2)
+@example(n_classes=257, feature_dim=1, rows=600, workers=3, shard=True, label_shift=128,
+         scale=30.0, seed=3)
 def test_class_major_softmax_equals_row_major(n_classes, feature_dim, rows, workers, shard,
                                               label_shift, scale, seed):
-    """The class-major gradient and value equal the row-major reference
-    bit for bit: below 8 classes (one running sum), from 8 to 15 (8 sums)
-    and from 16 (8 sums over two rounds), on the full data and on one
+    """The class-major gradient and value equal the row-major reference,
+    which adds each row's classes by a running loop, bit for bit: from 2
+    classes to 17, and at 129 and 257, past the 128 terms where numpy's
+    pairwise sum of a row splits it in two; on the full data and on one
     worker's shard, with true and shifted labels, at x = 0 and at scales
     1e-3 to 100."""
     spec = ObjectiveSpec(kind="softmax", dim=n_classes * feature_dim, n_classes=n_classes,
@@ -229,15 +233,6 @@ def test_class_major_softmax_equals_row_major(n_classes, feature_dim, rows, work
     assert np.array_equal(gradient_with_labels(spec, x, labels, feats=feats),
                           reference_gradient_with_labels(spec, x, labels, feats=feats))
     assert value(spec, x) == reference_softmax_value(spec, x)
-
-
-@pytest.mark.parametrize("C", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 200, 257, 1000])
-def test_class_sum_adds_in_numpys_pairwise_order(C):
-    """``_class_sum`` of a (C, N) array equals numpy's sum over each
-    C-long row of its (N, C) transpose bit for bit, past the 128-term
-    block where numpy's pairwise sum splits the row in two."""
-    z = np.exp(RngStream(C, 0).normal(C * 50, std=5.0)).reshape(C, 50)
-    assert np.array_equal(_class_sum(z), np.ascontiguousarray(z.T).sum(axis=1))
 
 
 def test_gradient_with_labels_needs_one_label_per_feature_row():

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -49,7 +50,9 @@ def _bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"{checkout}: bench/run.py exited with {proc.returncode}\n{proc.stderr}")
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     if not report["correct"]:
         raise SystemExit(f"{checkout}: {report['failed']} operations failed\n{proc.stderr}")
@@ -77,7 +80,15 @@ def _machine() -> dict:
             "env": {name: os.environ[name] for name in DISPATCH_ENV if name in os.environ}}
 
 
+def _exit_on_sigterm(signum, frame):
+    # SystemExit, unlike SIGTERM's default action, lets ``subprocess.run``
+    # kill a running bench child and the ``with`` block remove the
+    # exported parent checkout.
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
