@@ -24,7 +24,10 @@ The softmax arithmetic runs class-major. The logits are computed as
 that the max, subtract, exp, sum and divide each run over N-long rows
 instead of numpy's 10-long inner loops over each sample's C classes. The
 sum over classes, ``z.sum(axis=0)``, adds the C rows one after another:
-a running sum in class order, at every C. The probabilities are copied back
+a running sum in class order, at every C, as long as N > 1. A single
+column is one contiguous C-long reduction, which numpy adds pairwise, so
+``_running_class_sum`` takes the last entry of a running ``np.add.accumulate``
+there instead. The probabilities are copied back
 to (N, C) rows before the final ``probs.T @ feats``: the same product
 taken from the (C, N) array rounds differently in some draws, most likely
 because OpenBLAS takes another path for small matrices.
@@ -177,11 +180,19 @@ def _shifted_logits(spec: ObjectiveSpec, x: np.ndarray, feats: np.ndarray) -> np
     return z
 
 
+def _running_class_sum(z: np.ndarray) -> np.ndarray:
+    """The (N,) sums over the classes of the (C, N) array z, each a
+    running sum in class order."""
+    if z.shape[1] == 1:
+        return np.add.accumulate(z[:, 0])[-1:]
+    return z.sum(axis=0)
+
+
 def _softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     """Mean cross-entropy at the flattened weight matrix x."""
     feats, labels = softmax_dataset(spec)
     z = _shifted_logits(spec, x, feats)
-    logz = np.log(np.exp(z).sum(axis=0))
+    logz = np.log(_running_class_sum(np.exp(z)))
     return float(np.mean(logz - z[labels, np.arange(len(labels))]))
 
 
@@ -221,7 +232,7 @@ def gradient_with_labels(
         raise ConfigError(f"labels must lie in [0, {spec.n_classes})")
     z = _shifted_logits(spec, x, feats)
     np.exp(z, out=z)
-    z /= z.sum(axis=0)
+    z /= _running_class_sum(z)
     # Back to (N, C) rows: the final matmul on the (C, N) array itself
     # rounds differently.
     probs = np.ascontiguousarray(z.T)

@@ -209,6 +209,8 @@ def test_softmax_flipped_labels_change_gradient():
          scale=30.0, seed=0)
 @example(n_classes=16, feature_dim=3, rows=7, workers=1, shard=True, label_shift=0,
          scale=1e-3, seed=1)
+@example(n_classes=8, feature_dim=1, rows=1, workers=1, shard=False, label_shift=0,
+         scale=1.0, seed=0)
 @example(n_classes=129, feature_dim=2, rows=300, workers=2, shard=False, label_shift=64,
          scale=10.0, seed=2)
 @example(n_classes=257, feature_dim=1, rows=600, workers=3, shard=True, label_shift=128,
@@ -220,7 +222,8 @@ def test_class_major_softmax_equals_row_major(n_classes, feature_dim, rows, work
     classes to 17, and at 129 and 257, past the 128 terms where numpy's
     pairwise sum of a row splits it in two; on the full data and on one
     worker's shard, with true and shifted labels, at x = 0 and at scales
-    1e-3 to 100."""
+    1e-3 to 100, and on a single row, whose one column numpy would sum
+    pairwise."""
     spec = ObjectiveSpec(kind="softmax", dim=n_classes * feature_dim, n_classes=n_classes,
                          feature_dim=feature_dim, feature_seed=seed % 1000,
                          samples_per_worker=max(1, rows // workers), n_workers=workers)
