@@ -35,9 +35,13 @@ a Philox draw of c*d normals equals c successive draws of d normals bit
 for bit, so the chunking leaves every trajectory unchanged. Noise and
 shifts are drawn once per distinct seed of a batch and gathered to its
 rows: the candidates of a tuning grid share a seed, and so their
-streams. Only rows with a label table (label-flipped Byzantine workers,
-or all rows of an ``oracle.labels`` table) replace the full-data
-gradient with their own shard gradient.
+streams. Only workers with a label table (label-flipped Byzantine
+workers, or all workers of an ``oracle.labels`` table) replace the
+full-data gradient with their own shard gradient. Each row's exact
+gradient and those shard gradients come from one softmax pass at its
+iterate (``objectives.gradient_with_labels`` with the shard tables and
+the full-data table), and the oracle writes the shard gradients to their
+workers' columns in one assignment.
 """
 
 from __future__ import annotations
@@ -220,6 +224,9 @@ def validate(config: RunConfig) -> None:
     table = config.oracle.labels
     if table is None:
         return
+    if not config.objective.is_classification:
+        raise ConfigError(f"'labels' in oracle: a label table needs a classification "
+                          f"objective, got {config.objective.kind!r}")
     # One row per worker, each one label in [0, n_classes) per shard sample.
     if len(table) != config.n:
         raise ConfigError(f"oracle.labels needs one row per worker, {config.n} rows")
@@ -247,16 +254,16 @@ def _worker_shifts(config: RunConfig) -> np.ndarray:
     return shifts
 
 
-def _labeled_rows(config: RunConfig) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(worker, labels, shard features) for each worker whose oracle uses
-    its own labels: every row of an ``oracle.labels`` table, and the
-    label-flipped Byzantine workers."""
+def _label_tables(config: RunConfig) -> tuple[list[int], list[tuple[slice, np.ndarray]]]:
+    """The workers whose oracle uses its own labels, and the (rows,
+    labels) table of each: every row of an ``oracle.labels`` table, and
+    the label-flipped Byzantine workers."""
     spec = config.objective
     if not spec.is_classification:
-        return []
+        return [], []
     G = config.n - config.B
-    feats, dataset_labels = softmax_dataset(spec)
-    rows = []
+    dataset_labels = softmax_dataset(spec)[1]
+    workers, tables = [], []
     for i in range(config.n):
         shard = worker_shard(spec, i)
         labels = None
@@ -266,8 +273,9 @@ def _labeled_rows(config: RunConfig) -> list[tuple[int, np.ndarray, np.ndarray]]
             base = labels if labels is not None else dataset_labels[shard]
             labels = shift_labels(base, config.attack.label_shift, spec.n_classes)
         if labels is not None:
-            rows.append((i, labels, feats[shard]))
-    return rows
+            workers.append(i)
+            tables.append((shard, labels))
+    return workers, tables
 
 
 def _noise_steps(config: RunConfig, steps: int) -> Iterator[np.ndarray]:
@@ -373,7 +381,11 @@ def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunRes
         by_seed.setdefault(config.seed, config)
     seed_shifts = [_worker_shifts(config) for config in by_seed.values()]
     noise_streams = [_noise_steps(config, head.K + 1) for config in by_seed.values()]
-    labeled = _labeled_rows(head)
+    workers, tables = _label_tables(head)
+    if workers:
+        # The full-data table goes last, where it may take the pass's own
+        # probabilities.
+        tables.append((slice(None), softmax_dataset(spec)[1]))
 
     row_seed = np.array([list(by_seed).index(config.seed) for config in configs])
     rows = _Rows(
@@ -389,20 +401,28 @@ def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunRes
         x=np.array([config.x0 for config in configs], dtype=float),
     )
 
+    def exact_gradients() -> None:
+        """The exact gradient at each row's iterate (``next_grad``) and,
+        with label tables, each labeled worker's shard gradient there
+        (``shard_grads``): one softmax pass per row gives them all."""
+        if workers:
+            g = gradient_with_labels(spec, rows.x, tables)
+            rows.next_grad, rows.shard_grads = g[:, -1], g[:, :-1]
+        else:
+            rows.next_grad = gradient(spec, rows.x)
+
     def oracle() -> np.ndarray:
         noise = [next(stream) for stream in noise_streams]
         # One seed's (n, d) noise broadcasts to every row.
         noise = noise[0] if len(noise) == 1 else np.stack(noise)[rows.seed]
         grads = rows.base_grad[:, None, :] + noise
-        if labeled:
-            noise = np.broadcast_to(noise, grads.shape)
-            for i, labels, feats in labeled:
-                for r, x_r in enumerate(rows.x):
-                    grads[r, i] = gradient_with_labels(spec, x_r, labels, feats=feats) + noise[r, i]
+        if workers:
+            grads[:, workers] = rows.shard_grads + noise[..., workers, :]
         grads += rows.shifts
         return grads
 
-    rows.base_grad = rows.next_grad = gradient(spec, rows.x)
+    exact_gradients()
+    rows.base_grad = rows.next_grad
     grads = oracle()
     if head.init_momentum == "stochastic_gradient":
         rows.momenta = grads.copy()
@@ -455,8 +475,8 @@ def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunRes
                 results[r].states.append(x_r.copy())
                 results[r].aggregates.append(v_r)
 
-        # The one exact gradient at x^k: the log's and the next step's.
-        rows.next_grad = gradient(spec, rows.x)
+        # The one pass at x^k: the log's gradient and the next oracle's.
+        exact_gradients()
         if k % head.log_every == 0 or k == head.K:
             rows.f_val = value(spec, rows.x)
             rows.grad_norm = norms(rows.next_grad)

@@ -19,18 +19,24 @@ unbiased. The local objective of a worker with shift s is read as
 f_i(x) = f(x) + <s, x>, which makes the shifted oracle an exact
 stochastic gradient of f_i.
 
-The softmax arithmetic runs class-major. The logits are computed as
-(N, C) rows, ``feats @ w.T``, and copied to a contiguous (C, N) array, so
+The softmax arithmetic runs class-major, on the one stored copy of the
+features: a contiguous feature-major (F, N) array, which
+``softmax_dataset`` hands out as its (N, F) transpose view. The logits
+come straight out of ``W @ features.T`` as a contiguous (C, N) array, so
 that the max, subtract, exp, sum and divide each run over N-long rows
 instead of numpy's 10-long inner loops over each sample's C classes. The
 sum over classes, ``z.sum(axis=0)``, adds the C rows one after another:
 a running sum in class order, at every C, as long as N > 1. A single
 column is one contiguous C-long reduction, which numpy adds pairwise, so
 ``_running_class_sum`` takes the last entry of a running ``np.add.accumulate``
-there instead. The probabilities are copied back
-to (N, C) rows before the final ``probs.T @ feats``: the same product
-taken from the (C, N) array rounds differently in some draws, most likely
-because OpenBLAS takes another path for small matrices.
+there instead. One pass gives the (C, N) probabilities P at a point, and
+every gradient at that point is taken from it: a ``(rows, labels)``
+table takes P's columns ``rows``, less one at each row's label, times
+the same rows of the features, ``Q (C, m) @ features[rows]``. The
+full-data gradient is the table of every row and the dataset's labels;
+a label-flipped or ``oracle.labels`` shard is the table of its rows and
+its own labels. Each table's Q is a contiguous (C, m) array, whichever
+tables share the pass, so each gradient has the bits of its table alone.
 """
 
 from __future__ import annotations
@@ -132,7 +138,8 @@ def softmax_dataset(spec: ObjectiveSpec):
 
     Returns (features, labels) with N = n_workers * samples_per_worker
     rows; labels are sorted so that contiguous per-worker shards are
-    class-skewed (non-IID).
+    class-skewed (non-IID). The (N, F) features are the transpose view of
+    the one stored array, a contiguous feature-major (F, N) one.
     """
     n = spec.n_workers * spec.samples_per_worker
     rng = RngStream(spec.feature_seed, 0)
@@ -141,7 +148,7 @@ def softmax_dataset(spec: ObjectiveSpec):
     )
     labels = np.sort(np.arange(n) % spec.n_classes)
     feats = means[labels] + rng.normal(n * spec.feature_dim).reshape(n, spec.feature_dim)
-    return feats, labels
+    return np.ascontiguousarray(feats.T).T, labels
 
 
 def worker_shard(spec: ObjectiveSpec, worker_id: int) -> slice:
@@ -172,10 +179,11 @@ def value(spec: ObjectiveSpec, x: np.ndarray):
     return float(out) if x.ndim == 1 else out
 
 
-def _shifted_logits(spec: ObjectiveSpec, x: np.ndarray, feats: np.ndarray) -> np.ndarray:
+def _shifted_logits(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     """The (C, N) class-major logits of the flattened weight matrix x on
-    the (N, F) feature rows, each column less its maximum."""
-    z = np.ascontiguousarray((feats @ x.reshape(spec.n_classes, spec.feature_dim).T).T)
+    every data row, each column less its maximum."""
+    feats = softmax_dataset(spec)[0]
+    z = x.reshape(spec.n_classes, spec.feature_dim) @ feats.T
     z -= np.maximum.reduce(z, axis=0)
     return z
 
@@ -190,10 +198,19 @@ def _running_class_sum(z: np.ndarray) -> np.ndarray:
 
 def _softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     """Mean cross-entropy at the flattened weight matrix x."""
-    feats, labels = softmax_dataset(spec)
-    z = _shifted_logits(spec, x, feats)
+    labels = softmax_dataset(spec)[1]
+    z = _shifted_logits(spec, x)
     logz = np.log(_running_class_sum(np.exp(z)))
     return float(np.mean(logz - z[labels, np.arange(len(labels))]))
+
+
+def _class_probabilities(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
+    """One softmax pass: the (C, N) probabilities of the flattened weight
+    matrix x, column i the distribution of data row i over the classes."""
+    p = _shifted_logits(spec, x)
+    np.exp(p, out=p)
+    p /= _running_class_sum(p)
+    return p
 
 
 def gradient(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
@@ -205,40 +222,53 @@ def gradient(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "exponential":
         a = np.asarray(spec.direction)
         return a * np.exp(np.vecdot(x, a))[..., None]
-    feats, labels = softmax_dataset(spec)
-    if x.ndim == 2:
-        return np.array([gradient_with_labels(spec, row, labels, feats=feats) for row in x])
-    return gradient_with_labels(spec, x, labels, feats=feats)
+    labels = softmax_dataset(spec)[1]
+    return gradient_with_labels(spec, x, [(slice(None), labels)])[..., 0, :]
 
 
-def gradient_with_labels(
-    spec: ObjectiveSpec,
-    x: np.ndarray,
-    labels: np.ndarray,
-    feats: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mean cross-entropy gradient over the given (features, labels) rows.
+def gradient_with_labels(spec: ObjectiveSpec, x: np.ndarray, tables) -> np.ndarray:
+    """The mean cross-entropy gradient of each ``(rows, labels)`` table:
+    the data rows of the slice ``rows``, with one label per row. All come
+    from one softmax pass per point: a (T, dim) array for one point x, a
+    (R, T, dim) one for a (R, dim) row of points.
 
-    Used both for the clean gradient and for label-flipped variants.
+    The full-data gradient is the table ``(slice(None), labels)``; a
+    worker's shard with flipped or given labels is one more table.
     """
     if spec.kind != "softmax":
         raise ConfigError("gradient_with_labels only applies to softmax objectives")
-    if feats is None:
-        feats = softmax_dataset(spec)[0]
-    labels = np.asarray(labels)
-    if len(labels) != len(feats):
-        raise ConfigError(f"{len(labels)} labels for {len(feats)} feature rows")
-    if labels.min() < 0 or labels.max() >= spec.n_classes:
-        raise ConfigError(f"labels must lie in [0, {spec.n_classes})")
-    z = _shifted_logits(spec, x, feats)
-    np.exp(z, out=z)
-    z /= _running_class_sum(z)
-    # Back to (N, C) rows: the final matmul on the (C, N) array itself
-    # rounds differently.
-    probs = np.ascontiguousarray(z.T)
-    # Row i's entry for its label sits at i*C + label of the flat rows.
-    probs.reshape(-1)[np.arange(len(labels)) * spec.n_classes + labels] -= 1.0
-    return (probs.T @ feats).ravel() / len(labels)
+    x = _points(spec, x)
+    n_rows = len(softmax_dataset(spec)[1])
+    checked = []
+    for rows, labels in tables:
+        labels = np.asarray(labels)
+        m = len(range(n_rows)[rows])
+        if len(labels) != m:
+            raise ConfigError(f"{len(labels)} labels for {m} feature rows")
+        if labels.min() < 0 or labels.max() >= spec.n_classes:
+            raise ConfigError(f"labels must lie in [0, {spec.n_classes})")
+        # Row j's entry for its label sits at label*m + j of the flat (C, m) Q.
+        checked.append((rows, labels * m + np.arange(m), m))
+    if x.ndim == 2:
+        return np.array([_table_gradients(spec, row, checked) for row in x])
+    return _table_gradients(spec, x, checked)
+
+
+def _table_gradients(spec: ObjectiveSpec, x: np.ndarray, tables) -> np.ndarray:
+    """The (T, dim) gradients of the checked ``(rows, flat label index,
+    m)`` tables at the point x, from one softmax pass."""
+    feats = softmax_dataset(spec)[0]
+    p = _class_probabilities(spec, x)
+    out = np.empty((len(tables), spec.dim))
+    for t, (rows, flat, m) in enumerate(tables):
+        # The last table may take P's own columns in place; the others copy
+        # theirs. Either way Q is a contiguous (C, m) array.
+        q = p[:, rows]
+        if t < len(tables) - 1 or not q.flags.c_contiguous:
+            q = q.copy()
+        q.reshape(-1)[flat] -= 1.0
+        out[t] = (q @ feats[rows]).ravel() / m
+    return out
 
 
 def make_shifts(rng: RngStream, G: int, d: int, shift_variance: float) -> np.ndarray:

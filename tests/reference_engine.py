@@ -6,14 +6,19 @@ one-worker oracle, and the row-major softmax arithmetic.
 its leading run axis. It shares the engine's stream, shift and label
 helpers, so a test comparing the two checks the lockstep arithmetic and
 the per-row bookkeeping: every row of ``engine.run_batch`` must equal
-this loop's result for that config alone, bit for bit.
+this loop's result for that config alone, bit for bit. It takes each
+labeled worker's shard gradient in a pass of its own, one table per
+``gradient_with_labels`` call, and the exact gradient by ``gradient``,
+twice per logged step, where the engine takes them all from one pass.
 
 ``stochastic_gradient`` is one worker's oracle draw, which the engine
 draws for all workers at once. ``reference_gradient_with_labels`` and
-``reference_softmax_value`` are the softmax gradient and value in their
-row-major (N, C) form, before ``objectives`` went class-major, with the
-classes of each row added by a running loop (``running_class_sum``);
-every output of the class-major code must equal theirs bit for bit.
+``reference_softmax_value`` are the softmax gradients and value with the
+program's two products (the logits ``W @ features.T`` and each table's
+``Q @ features[rows]``) and plain loops for the rest: each row's max and
+sum taken class by class (``running_class_sum``), and one subtracted at
+each label in turn. Every output of the class-major pass must equal
+theirs bit for bit, whichever tables share it.
 
 ``reference_sq_dists``, ``reference_nnm_transform`` and ``reference_krum``
 are the aggregators' distance kernel, NNM and Krum as they were before the
@@ -34,7 +39,7 @@ from byzsim.engine import (
     RunConfig,
     RunResult,
     TrajectoryRecord,
-    _labeled_rows,
+    _label_tables,
     _noise_steps,
     _worker_shifts,
     schedule_values,
@@ -86,37 +91,46 @@ def running_class_sum(rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def reference_logits(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
+    """The (N, C) logits of every data row, each row less its maximum
+    (taken class by class). The product is the program's own,
+    ``W @ features.T``, read back as rows."""
+    feats = softmax_dataset(spec)[0]
+    logits = (x.reshape(spec.n_classes, spec.feature_dim) @ feats.T).T.copy()
+    top = logits[:, 0].copy()
+    for c in range(1, spec.n_classes):
+        np.maximum(top, logits[:, c], out=top)
+    logits -= top[:, None]
+    return logits
+
+
 def reference_softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     """Mean cross-entropy at the flattened weight matrix x."""
-    feats, labels = softmax_dataset(spec)
-    logits = feats @ x.reshape(spec.n_classes, spec.feature_dim).T
-    logits -= logits.max(axis=1, keepdims=True)
+    labels = softmax_dataset(spec)[1]
+    logits = reference_logits(spec, x)
     logz = np.log(running_class_sum(np.exp(logits)))
     return float(np.mean(logz - logits[np.arange(len(labels)), labels]))
 
 
-def reference_gradient_with_labels(
-    spec: ObjectiveSpec,
-    x: np.ndarray,
-    labels: np.ndarray,
-    feats: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mean cross-entropy gradient over the given (features, labels) rows.
-
-    Used both for the clean gradient and for label-flipped variants.
-    """
+def reference_gradient_with_labels(spec: ObjectiveSpec, x: np.ndarray, tables) -> np.ndarray:
+    """The (T, dim) mean cross-entropy gradients of the ``(rows, labels)``
+    tables at the point x. The probabilities are (N, C) rows; each table
+    takes its rows, subtracts one at each row's label in a loop, and
+    multiplies by the same feature rows as the program, from a contiguous
+    (C, m) copy, which is the program's second product."""
     if spec.kind != "softmax":
         raise ConfigError("gradient_with_labels only applies to softmax objectives")
-    if feats is None:
-        feats = softmax_dataset(spec)[0]
-    labels = np.asarray(labels)
-    w = x.reshape(spec.n_classes, spec.feature_dim)
-    logits = feats @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
+    feats = softmax_dataset(spec)[0]
+    probs = np.exp(reference_logits(spec, x))
     probs /= running_class_sum(probs)[:, None]
-    probs[np.arange(len(labels)), labels] -= 1.0
-    return (probs.T @ feats).ravel() / len(labels)
+    out = []
+    for rows, labels in tables:
+        table = probs[rows].copy()
+        for j, label in enumerate(labels):
+            table[j, label] -= 1.0
+        q = np.ascontiguousarray(table.T)
+        out.append((q @ feats[rows]).ravel() / len(labels))
+    return np.array(out)
 
 
 def _reference_take_rows(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -173,15 +187,15 @@ def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:
     spec = config.objective
     G = config.n - config.B
     shifts = _worker_shifts(config)
-    labeled = _labeled_rows(config)
+    workers, tables = _label_tables(config)
     noise_steps = _noise_steps(config, config.K + 1)
     x = np.array(config.x0, dtype=float)
 
     def oracle(x: np.ndarray, base_grad: np.ndarray) -> np.ndarray:
         noise = next(noise_steps)
         grads = base_grad + noise
-        for i, labels, feats in labeled:
-            grads[i] = gradient_with_labels(spec, x, labels, feats=feats) + noise[i]
+        for i, table in zip(workers, tables):
+            grads[i] = gradient_with_labels(spec, x, [table])[0] + noise[i]
         grads += shifts
         return grads
 

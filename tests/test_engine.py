@@ -330,6 +330,28 @@ def test_label_flip_on_softmax_runs():
     assert res.records[-1].f_value != clean.records[-1].f_value
 
 
+def test_label_flip_makes_one_softmax_pass_per_row_and_iterate(monkeypatch):
+    """A label-flip run of K steps takes every exact and shard gradient of
+    a row from K + 1 softmax passes, one per iterate x^0..x^K, however
+    many workers flip their labels and whatever ``log_every`` is."""
+    import byzsim.objectives
+
+    passes = []
+    original = byzsim.objectives._class_probabilities
+
+    def counted(spec, x):
+        passes.append(x.tobytes())
+        return original(spec, x)
+
+    monkeypatch.setattr(byzsim.objectives, "_class_probabilities", counted)
+    configs = [softmax_config(K=7, seed=seed, log_every=3) for seed in (1, 2)]
+    results = run_batch(configs)
+    assert [len(r.records) for r in results] == [4, 4]
+    assert len(passes) == 2 * (7 + 1)
+    # Both rows start at x0 = 0, then each pass is at a point of its own.
+    assert len(set(passes)) == 2 * 7 + 1
+
+
 def test_worker_label_table_override():
     """An explicit per-worker label table reroutes honest oracles to their
     shard with those labels; label flipping then poisons the given rows."""

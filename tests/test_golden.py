@@ -141,12 +141,12 @@ GOLDEN = {
     "noise_zero": "3a26b5aa27405a920cc22a89b7c55e13153d0d5152311c36c1d8e429a974e7f7",
     "bf_gradient_level": "83d7fe033051d845ccca00ef023947c1be4f7b0b4620c41008999207c995d528",
     "b_zero": "3daf40bd5bb64f48a5a5c1a56a1b5635eff3ce0b5f623876d72c67e343a0c972",
-    "softmax_label_flip:gm": "d724da66a331a0f6dabbe4e93d08ee86092b3b7e14f93496f6c0acaccf672dba",
-    "softmax_label_flip:krum": "85c90e2e19da251ec9e6adb0cc0d420e36617b2f0d07731573cfc658b15082d4",
-    "softmax_label_flip:cwmed": "18ef1a80ba270283c31c7229b0d7cd07d537a0ea1fd254625fcbab96c3109773",
-    "softmax_10_classes": "c896bd4cb18da5779ad47b2a390457228a07d45053cb832fbe5103aa57b444de",
-    "softmax_labels_table:none": "0397ab528872079e365bdfa10f3014e2a33d389d00b3b4cafc0f47e92d965b99",
-    "softmax_labels_table:label_flip": "7ba88c4f64b23864fb9410427174a35f9006a707f3e124ce75ffc06e6a83626a",
+    "softmax_label_flip:gm": "f844f67977548a9d825909e2287b68549d9f5d05c7613960b3b7c43304f73811",
+    "softmax_label_flip:krum": "732712556bc9cbe2d26623a06f5f92570f1ac226c570040c4b35505e62444c3b",
+    "softmax_label_flip:cwmed": "e4d16296af92dd826a60bba1435dd71029d151bb9382b414912d0d92aa7b7fd2",
+    "softmax_10_classes": "eca606198b364eaa73036455dd4d62531cd703fa606889b078b8dd9ca2791024",
+    "softmax_labels_table:none": "5c2b3cc95374d92b205afd62f71719a750c04dc2892a4d67d9cdd85a1064294d",
+    "softmax_labels_table:label_flip": "70145d4250de35125602219ee94b58373fe9f460bb77b2909c9d2ce20f60557c",
 }
 
 
@@ -159,7 +159,7 @@ TABLE1_SWEEP = "c54a1f358e9917f4f8f6ba0e66c14cf6922e2def961b77cba295ddb123492836
 # gamma0, seed) order.
 ABLATION_FINALS = "f0a48a367e205df74dedc1e42b9fa3a972ddf862152f5f74cf8fdf7b1b789a56"
 # byzsim verify --trials 150 --seed 1: tree_sha256 of its 12 reports.
-VERIFY_REPORTS = "80c57c47e48eb880909974aceb794fad7ee54ba787085603eccc337bd19b8fe9"
+VERIFY_REPORTS = "0719793da4dc7b7e919180dff15a2a2fae49fd30e8fd2c8fb48122cec1e205ec"
 
 
 def tree_sha256(root) -> str:

@@ -408,6 +408,22 @@ def test_label_flip_that_flips_nothing_rejected_with_file_line(tmp_path, n_class
     assert load_config(path).attack.label_shift == n_classes + 1
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param([[] for _ in range(6)], id="empty-rows"),
+    pytest.param([[0, 1] for _ in range(6)], id="label-rows"),
+])
+def test_label_table_on_quartic_rejected_with_file_line(tmp_path, rows):
+    """Only a classification objective reads ``oracle.labels``: on the
+    quartic a table of empty rows would load and be ignored, and any
+    other table would fail on its row length."""
+    path = write_config(tmp_path, {"oracle": {"noise_variance": 1e-5, "labels": rows}})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if '"labels"' in row)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: 'labels' in oracle: a label "
+                                              rf"table needs a classification objective, "
+                                              rf"got 'quartic'"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("overrides, key, section, value", [
     pytest.param({"schedule": {"kind": "constant", "gamma0": math.nan}}, "gamma0", "schedule",
                  "nan", id="gamma0-nan"),

@@ -196,8 +196,8 @@ def test_softmax_dataset_shards_are_class_sorted():
 def test_softmax_flipped_labels_change_gradient():
     _, labels = softmax_dataset(SOFTMAX)
     x = RngStream(2, 0).normal(12)
-    g = gradient_with_labels(SOFTMAX, x, labels)
-    g_flipped = gradient_with_labels(SOFTMAX, x, (labels + 1) % 4)
+    g, g_flipped = gradient_with_labels(SOFTMAX, x, [(slice(None), labels),
+                                                     (slice(None), (labels + 1) % 4)])
     assert np.linalg.norm(g - g_flipped) > 1e-3
 
 
@@ -218,7 +218,8 @@ def test_softmax_flipped_labels_change_gradient():
 def test_class_major_softmax_equals_row_major(n_classes, feature_dim, rows, workers, shard,
                                               label_shift, scale, seed):
     """The class-major gradient and value equal the row-major reference,
-    which adds each row's classes by a running loop, bit for bit: from 2
+    which takes the same two products and adds each row's classes by a
+    running loop, bit for bit: from 2
     classes to 17, and at 129 and 257, past the 128 terms where numpy's
     pairwise sum of a row splits it in two; on the full data and on one
     worker's shard, with true and shifted labels, at x = 0 and at scales
@@ -227,22 +228,93 @@ def test_class_major_softmax_equals_row_major(n_classes, feature_dim, rows, work
     spec = ObjectiveSpec(kind="softmax", dim=n_classes * feature_dim, n_classes=n_classes,
                          feature_dim=feature_dim, feature_seed=seed % 1000,
                          samples_per_worker=max(1, rows // workers), n_workers=workers)
-    feats, labels = softmax_dataset(spec)
-    if shard:
-        rows_ = worker_shard(spec, seed % workers)
-        feats, labels = feats[rows_], labels[rows_]
-    labels = (labels + label_shift) % n_classes
+    rows_ = worker_shard(spec, seed % workers) if shard else slice(None)
+    table = [(rows_, (softmax_dataset(spec)[1][rows_] + label_shift) % n_classes)]
     x = RngStream(seed, 1).normal(spec.dim, std=scale)
-    assert np.array_equal(gradient_with_labels(spec, x, labels, feats=feats),
-                          reference_gradient_with_labels(spec, x, labels, feats=feats))
+    assert np.array_equal(gradient_with_labels(spec, x, table),
+                          reference_gradient_with_labels(spec, x, table))
     assert value(spec, x) == reference_softmax_value(spec, x)
 
 
 def test_gradient_with_labels_needs_one_label_per_feature_row():
-    feats, labels = softmax_dataset(SOFTMAX)
+    _, labels = softmax_dataset(SOFTMAX)
     x = RngStream(2, 0).normal(12)
     with pytest.raises(ConfigError, match="14 labels for 15 feature rows"):
-        gradient_with_labels(SOFTMAX, x, labels[:14], feats=feats[:15])
+        gradient_with_labels(SOFTMAX, x, [(slice(None), labels), (slice(0, 15), labels[:14])])
+
+
+@st.composite
+def label_tables(draw, labels, n_classes, workers, m):
+    """A mix of ``(rows, labels)`` tables over a dataset with ``labels``,
+    in ``workers`` shards of m rows: the full data with its labels, worker
+    shards with shifted labels (label flipping), shards with labels drawn
+    freely (an ``oracle.labels`` table), and slices of any length and
+    offset, with one row or an odd number of them. A table may repeat."""
+    rows = len(labels)
+    tables = []
+    for kind in draw(st.lists(st.sampled_from(["full", "flip", "given", "slice"]),
+                              min_size=1, max_size=6)):
+        if kind == "full":
+            tables.append((slice(None), labels))
+            continue
+        if kind == "slice":
+            start = draw(st.integers(0, rows - 1))
+            rows_ = slice(start, draw(st.integers(start + 1, rows)))
+        else:
+            worker = draw(st.integers(0, workers - 1))
+            rows_ = slice(worker * m, (worker + 1) * m)
+        if kind == "given":
+            size = len(range(rows)[rows_])
+            given = draw(st.lists(st.integers(0, n_classes - 1), min_size=size, max_size=size))
+            tables.append((rows_, np.array(given)))
+        else:
+            tables.append((rows_, (labels[rows_] + draw(st.integers(1, n_classes - 1)))
+                           % n_classes))
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_classes=st.integers(2, 12), feature_dim=st.integers(1, 8),
+       workers=st.integers(1, 5), m=st.integers(1, 61),
+       scale=st.just(0.0) | st.floats(1e-3, 100.0), seed=st.integers(0, 2**32 - 1))
+@example(data=None, n_classes=129, feature_dim=2, workers=3, m=37, scale=10.0, seed=2)
+@example(data=None, n_classes=257, feature_dim=1, workers=4, m=25, scale=30.0, seed=3)
+@example(data=None, n_classes=10, feature_dim=20, workers=20, m=1, scale=30.0, seed=4)
+@example(data=None, n_classes=8, feature_dim=1, workers=1, m=1, scale=1.0, seed=0)
+def test_one_pass_gives_each_table_its_own_gradient(data, n_classes, feature_dim, workers, m,
+                                                    scale, seed):
+    """One softmax pass serves any mix of label tables: each table's
+    gradient equals the reference's bit for bit, and equals the gradient
+    of a pass with that table alone, and of a pass with the tables in
+    reverse. From 2 classes to 12, and at 129 and 257; shards of one row
+    and of odd sizes at unaligned offsets; a dataset of one row. The
+    ``@example``s, which draw nothing, mix the full data, every worker's
+    flipped shard and every worker's shard with labels shifted by its
+    index, as the engine does with label flipping over an
+    ``oracle.labels`` table."""
+    spec = ObjectiveSpec(kind="softmax", dim=n_classes * feature_dim, n_classes=n_classes,
+                         feature_dim=feature_dim, feature_seed=seed % 1000,
+                         samples_per_worker=m, n_workers=workers)
+    labels = softmax_dataset(spec)[1]
+    if data is None:
+        shards = [worker_shard(spec, i) for i in range(workers)]
+        tables = [(slice(None), labels),
+                  *((s, (labels[s] + 1) % n_classes) for s in shards),
+                  *((s, (labels[s] + i) % n_classes) for i, s in enumerate(shards))]
+    else:
+        tables = data.draw(label_tables(labels, n_classes, workers, m))
+    x = RngStream(seed, 1).normal(spec.dim, std=scale)
+    got = gradient_with_labels(spec, x, tables)
+    assert got.shape == (len(tables), spec.dim)
+    assert np.array_equal(got, reference_gradient_with_labels(spec, x, tables))
+    for t, table in enumerate(tables):
+        assert np.array_equal(gradient_with_labels(spec, x, [table])[0], got[t])
+    assert np.array_equal(gradient_with_labels(spec, x, tables[::-1]), got[::-1])
+    # A row of points is one pass per point.
+    points = np.stack([x, 2.0 * x])
+    both = gradient_with_labels(spec, points, tables)
+    assert np.array_equal(both[0], got)
+    assert np.array_equal(both[1], gradient_with_labels(spec, 2.0 * x, tables))
 
 
 def test_spec_validation():
