@@ -155,14 +155,7 @@ def krum(vectors, B: int) -> np.ndarray:
 
 
 def _gm_objective(y: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(mat - y[..., None, :], axis=-1).sum(axis=-1)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, summed as
-    ``np.linalg.norm(x, axis=-1)`` sums them, without its argument
-    handling."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    return norms(mat - y[..., None, :]).sum(axis=-1)
 
 
 def geometric_median(
@@ -193,7 +186,7 @@ def geometric_median(
     rows, y = mat, mean  # their inputs and iterates
     history = [mean]
     for _ in range(max_iters):
-        w = 1.0 / np.maximum(_norms(rows - y[..., None, :]), nu)
+        w = 1.0 / np.maximum(norms(rows - y[..., None, :]), nu)
         y_next = (w[..., None] * rows).sum(axis=-2) / w.sum(axis=-1)[..., None]
         step = y_next - y
         stop = norms(step) <= tol

@@ -50,7 +50,8 @@ class AttackSpec:
     def __post_init__(self):
         check_choices(self)
         if self.mimic_warmup < 0:
-            raise ConfigError("mimic warmup must be >= 0")
+            raise ConfigError(f"'mimic_warmup' in attack: mimic warmup must be >= 0, "
+                              f"got {self.mimic_warmup}")
 
 
 @dataclass

@@ -1,7 +1,8 @@
-"""Dense float64 vector helpers, reproducible per-worker random streams,
-and the check of enumerated config fields.
+"""The package's one dot and one norm, reproducible per-worker random
+streams, and the check of enumerated config fields.
 
-Vectors are plain 1-D ``numpy.ndarray`` objects with dtype float64.
+Vectors are float64 ``numpy.ndarray`` rows. :func:`dot` and :func:`norms`
+sum with numpy's own ``add.reduce``, never BLAS: no kernel moves their bits.
 Randomness goes through :class:`RngStream`, a thin wrapper over a
 counter-based Philox generator keyed by (seed, stream_id), so that
 distinct workers get independent streams and the same key always replays
@@ -25,6 +26,7 @@ __all__ = [
     "check_choice",
     "check_choices",
     "field_hints",
+    "dot",
     "norms",
     "gaussian_vector",
 ]
@@ -100,10 +102,15 @@ def check_choices(obj) -> None:
 NORM_EPS = 1e-12
 
 
+def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, broadcast over the others: each row
+    of the C-ordered products summed alone, whatever the layout of its inputs."""
+    return np.add.reduce(np.multiply(u, v, order="C"), axis=-1)
+
+
 def norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of v, or of each row of a (R, d) v, each the
-    square root of the dot product np.linalg.norm takes of one vector."""
-    return np.sqrt(np.vecdot(v, v))
+    """Euclidean norms along the last axis: the one norm, sqrt(dot(v, v))."""
+    return np.sqrt(dot(v, v))
 
 
 def gaussian_vector(rng: RngStream, d: int, variance: float) -> np.ndarray:

@@ -220,7 +220,8 @@ def validate(config: RunConfig) -> None:
             raise ConfigError(f"'label_shift' in attack: {config.attack.label_shift} is a "
                               f"multiple of n_classes = {C}, so label_flip flips no label")
     if config.objective.is_classification and config.objective.n_workers < config.n:
-        raise ConfigError("softmax objective must be sized for at least n workers")
+        raise ConfigError(f"'n_workers' in objective: softmax objective must be sized for at "
+                          f"least n workers, got {config.objective.n_workers} < n = {config.n}")
     table = config.oracle.labels
     if table is None:
         return

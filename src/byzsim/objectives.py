@@ -47,7 +47,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ConfigError, RngStream, check_choices, gaussian_vector
+from .core import ConfigError, RngStream, check_choices, dot, gaussian_vector, norms
 
 __all__ = [
     "ObjectiveSpec",
@@ -89,17 +89,16 @@ class ObjectiveSpec:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.kind == "exponential":
             if self.direction is None or len(self.direction) != self.dim:
-                raise ConfigError("exponential objective needs a direction of length dim")
+                raise ConfigError("'direction' in objective: exponential objective needs a "
+                                  "direction of length dim")
         if self.kind == "softmax":
             if self.n_classes < 2:
-                raise ConfigError("softmax needs n_classes >= 2")
+                raise ConfigError("'n_classes' in objective: softmax needs n_classes >= 2")
             if self.feature_dim < 1 or self.samples_per_worker < 1 or self.n_workers < 1:
                 raise ConfigError("softmax needs feature_dim, samples_per_worker, n_workers >= 1")
             if self.dim != self.n_classes * self.feature_dim:
-                raise ConfigError(
-                    f"softmax dim must equal n_classes*feature_dim = "
-                    f"{self.n_classes * self.feature_dim}, got {self.dim}"
-                )
+                raise ConfigError(f"'dim' in objective: softmax dim must equal n_classes*feature"
+                                  f"_dim = {self.n_classes * self.feature_dim}, got {self.dim}")
 
     @property
     def is_classification(self) -> bool:
@@ -128,8 +127,9 @@ class OracleConfig:
     labels: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.noise_variance < 0 or self.shift_variance < 0:
-            raise ConfigError("variances must be >= 0")
+        for name in ("noise_variance", "shift_variance"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name!r} in oracle must be >= 0, got {getattr(self, name)}")
 
 
 @lru_cache(maxsize=8)
@@ -172,10 +172,10 @@ def value(spec: ObjectiveSpec, x: np.ndarray):
             return np.array([_softmax_value(spec, row) for row in x])
         return _softmax_value(spec, x)
     if spec.kind == "quartic":
-        s = np.vecdot(x, x)
+        s = dot(x, x)
         out = s * s
     else:
-        out = np.exp(np.vecdot(x, np.asarray(spec.direction)))
+        out = np.exp(dot(x, np.asarray(spec.direction)))
     return float(out) if x.ndim == 1 else out
 
 
@@ -218,10 +218,10 @@ def gradient(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     of a (R, dim) x, each row as it would be alone."""
     x = _points(spec, x)
     if spec.kind == "quartic":
-        return 4.0 * x * np.vecdot(x, x)[..., None]
+        return 4.0 * x * dot(x, x)[..., None]
     if spec.kind == "exponential":
         a = np.asarray(spec.direction)
-        return a * np.exp(np.vecdot(x, a))[..., None]
+        return a * np.exp(dot(x, a))[..., None]
     labels = softmax_dataset(spec)[1]
     return gradient_with_labels(spec, x, [(slice(None), labels)])[..., 0, :]
 
@@ -293,8 +293,8 @@ def default_smoothness(spec: ObjectiveSpec) -> SmoothnessMeta:
     if spec.kind == "quartic":
         return SmoothnessMeta(L0=12.0, L1=3.0, f_star=0.0)
     if spec.kind == "exponential":
-        a = float(np.linalg.norm(np.asarray(spec.direction)))
+        a = float(norms(np.asarray(spec.direction)))
         return SmoothnessMeta(L0=1.0, L1=max(a, 1e-6), f_star=0.0)
     feats, _ = softmax_dataset(spec)
-    l0 = float(np.mean(np.sum(feats * feats, axis=1)))
+    l0 = float(np.mean(dot(feats, feats)))
     return SmoothnessMeta(L0=max(l0, 1.0), L1=1.0, f_star=None)

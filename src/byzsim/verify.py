@@ -45,7 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from .aggregators import AggregatorSpec, aggregate, base_kappa, theoretical_kappa
-from .core import ConfigError, RngStream
+from .core import ConfigError, RngStream, dot, norms
 from .engine import RunConfig, RunResult, schedule_values
 from .objectives import ObjectiveSpec, SmoothnessMeta, default_smoothness, gradient, value
 
@@ -145,14 +145,14 @@ def _byz_vectors(rng: RngStream, goods: np.ndarray, B: int, d: int) -> np.ndarra
     if family == 0:
         signs = np.where(rng.normal(B) >= 0, 1.0, -1.0)
         dirs = rng.normal(B * d).reshape(B, d)
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        dirs /= np.maximum(norms(dirs), 1e-300)[:, None]
         return 1e9 * signs[:, None] * dirs
     if family == 1:
         idx = rng.integers(0, goods.shape[0], size=B)
         return goods[np.asarray(idx)].copy()
     if family == 2:
         shift = rng.normal(d)
-        shift *= 10.0 ** rng.uniform(0.0, 9.0) / max(np.linalg.norm(shift), 1e-300)
+        shift *= 10.0 ** rng.uniform(0.0, 9.0) / max(norms(shift), 1e-300)
         return np.tile(vbar + shift, (B, 1))
     if family == 3:
         z = rng.uniform(0.5, 2.0)
@@ -271,7 +271,7 @@ def check_robustness(
             safe_disp = np.maximum(disp, 1e-300)
             lev_c = np.where(positive, good_max * G / safe_disp, 0.0)
             for j, spec in enumerate(specs):
-                lhs = np.linalg.norm(aggs[j][t] - vbar, axis=1)
+                lhs = norms(aggs[j][t] - vbar)
                 ratios = np.where(positive, lhs * G / safe_disp, 0.0)
                 kappa_emp[j] = max(kappa_emp[j], float(ratios.max()))
                 if coefficients[j] is None:
@@ -297,7 +297,7 @@ def check_robustness(
 
 def _uniform_in_ball(rng: RngStream, d: int, radius: float) -> np.ndarray:
     v = rng.normal(d)
-    v /= max(np.linalg.norm(v), 1e-300)
+    v /= max(norms(v), 1e-300)
     return v * radius * rng.uniform(0.0, 1.0) ** (1.0 / d)
 
 
@@ -307,9 +307,8 @@ def _sup_grad_norm_on_segment(
     t = np.linspace(0.0, 1.0, grid_points)
     pts = x[None, :] + t[:, None] * (y - x)[None, :]
     if spec.kind == "quartic":
-        sq = np.sum(pts * pts, axis=1)
-        return float(4.0 * (sq ** 1.5).max())
-    return max(float(np.linalg.norm(gradient(spec, p))) for p in pts)
+        return float(4.0 * (dot(pts, pts) ** 1.5).max())
+    return float(norms(gradient(spec, pts)).max())
 
 
 def check_l0l1(
@@ -342,16 +341,15 @@ def check_l0l1(
         x = _uniform_in_ball(rng, spec.dim, radius)
         y = _uniform_in_ball(rng, spec.dim, radius)
         gx, gy = gradient(spec, x), gradient(spec, y)
-        ngx, ngy = float(np.linalg.norm(gx)), float(np.linalg.norm(gy))
-        seg = float(np.linalg.norm(x - y))
-        diff = float(np.linalg.norm(gx - gy))
+        ngx, ngy = float(norms(gx)), float(norms(gy))
+        seg, diff = float(norms(x - y)), float(norms(gx - gy))
         sup = _sup_grad_norm_on_segment(spec, x, y, grid_points)
         fx, fy = value(spec, x), value(spec, y)
         quad = (L0 + L1 * ngx) / 2.0 * math.exp(L1 * seg) * seg * seg
         pairs = (  # (lhs, rhs) of each inequality
             (diff, (L0 + L1 * sup) * seg),
             (diff, (L0 + L1 * ngy) * math.exp(L1 * seg) * seg),
-            (fy, fx + float(np.dot(gx, y - x)) + quad),
+            (fy, fx + float(dot(gx, y - x)) + quad),
             (ngx * ngx / (4.0 * (L0 + L1 * ngx)), fx - f_star),
         )
         score.add([rhs + tol + tol * abs(rhs) - lhs for lhs, rhs in pairs])
@@ -396,12 +394,12 @@ def check_descent(
         v = result.aggregates[k - 1]
         gamma = schedule_values(config.schedule, k - 1)[0]
         g_prev = gradient(spec, x_prev)
-        mean_local = float(np.linalg.norm(g_prev + result.honest_shifts, axis=1).mean())
+        mean_local = float(norms(g_prev + result.honest_shifts).mean())
         f_prev = value(spec, x_prev)
         rhs = (
             f_prev
-            - gamma * float(np.linalg.norm(g_prev))
-            + 2.0 * gamma * float(np.linalg.norm(g_prev - v))
+            - gamma * float(norms(g_prev))
+            + 2.0 * gamma * float(norms(g_prev - v))
             + gamma * gamma / 2.0 * math.exp(gamma * L1) * (L0 + L1 * mean_local)
         )
         lhs = value(spec, x_now)
@@ -416,7 +414,7 @@ def heterogeneity(shifts) -> float:
     mean square of the shifts, which is exactly
     sqrt(mean_i |grad f_i(x) - grad f(x)|^2) at every x."""
     shifts = np.asarray(shifts, dtype=float)
-    return math.sqrt(float(np.mean(np.sum(shifts * shifts, axis=1))))
+    return math.sqrt(float(np.mean(dot(shifts, shifts))))
 
 
 def check_gradient(

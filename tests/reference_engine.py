@@ -214,7 +214,7 @@ def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:
         aggregates=[] if capture_states else None,
     )
     result.records.append(
-        TrajectoryRecord(0, float(np.linalg.norm(base_grad)), value(spec, x), 0.0, 0.0)
+        TrajectoryRecord(0, float(norms(base_grad)), value(spec, x), 0.0, 0.0)
     )
 
     for k in range(1, config.K + 1):
@@ -237,7 +237,7 @@ def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:
             step_size = gamma if stepped else 0.0
         else:
             x_new = x - gamma * v
-            step_size = gamma * float(np.linalg.norm(v))
+            step_size = gamma * float(norms(v))
 
         if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > 1e25:
             result.diverged = True
@@ -252,12 +252,12 @@ def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:
 
         if k % config.log_every == 0 or k == config.K:
             f_val = value(spec, x)
-            gn = float(np.linalg.norm(gradient(spec, x)))
+            gn = float(norms(gradient(spec, x)))
             if not (math.isfinite(f_val) and math.isfinite(gn)):
                 result.diverged = True
                 result.divergence_step = k
                 break
-            agg_err = float(np.linalg.norm(v - base_grad))
+            agg_err = float(norms(v - base_grad))
             result.records.append(TrajectoryRecord(k, gn, f_val, agg_err, step_size))
 
     return result

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import re
 import typing
 from pathlib import Path
 
@@ -422,6 +423,39 @@ def test_label_table_on_quartic_rejected_with_file_line(tmp_path, rows):
                                               rf"table needs a classification objective, "
                                               rf"got 'quartic'"):
         load_config(path)
+
+
+SOFTMAX_OBJECTIVE = {"kind": "softmax", "dim": 12, "n_classes": 4, "feature_dim": 3,
+                     "samples_per_worker": 2, "n_workers": 6}
+
+
+@pytest.mark.parametrize("overrides, section, key, wording", [
+    pytest.param({"oracle": {"noise_variance": -1.0}}, "oracle", "noise_variance",
+                 "must be >= 0, got -1.0", id="noise-variance"),
+    pytest.param({"oracle": {"shift_variance": -1.0}}, "oracle", "shift_variance",
+                 "must be >= 0, got -1.0", id="shift-variance"),
+    pytest.param({"attack": {"kind": "mimic", "mimic_warmup": -1}}, "attack", "mimic_warmup",
+                 "mimic warmup must be >= 0", id="mimic-warmup"),
+    pytest.param({"objective": {"kind": "exponential", "dim": 10, "direction": [1.0, 2.0]}},
+                 "objective", "direction", "exponential objective needs a direction of length dim",
+                 id="exponential-direction"),
+    pytest.param({"objective": {**SOFTMAX_OBJECTIVE, "dim": 3, "n_classes": 1}}, "objective",
+                 "n_classes", "softmax needs n_classes >= 2", id="softmax-one-class"),
+    pytest.param({"objective": {**SOFTMAX_OBJECTIVE, "dim": 13}}, "objective", "dim",
+                 "softmax dim must equal n_classes", id="softmax-dim"),
+    pytest.param({"objective": {**SOFTMAX_OBJECTIVE, "n_workers": 3}}, "objective", "n_workers",
+                 "softmax objective must be sized for at least n workers", id="softmax-workers"),
+])
+def test_config_value_error_points_at_its_key(tmp_path, overrides, section, key, wording):
+    """A value a dataclass check rejects is reported at the line of its key."""
+    path = write_config(tmp_path, overrides)
+    rows = path.read_text().splitlines()
+    start = next(i for i, row in enumerate(rows, 1) if f'"{section}"' in row)
+    line = next(i for i, row in enumerate(rows, 1) if f'"{key}"' in row and i > start)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: '{key}' in {section}"
+                                              rf"(: | ).*{re.escape(wording)}") as err:
+        load_config(path)
+    assert err.value.line == line
 
 
 @pytest.mark.parametrize("overrides, key, section, value", [
