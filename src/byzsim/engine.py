@@ -26,7 +26,9 @@ Weiszfeld iteration: every per-row array is dropped in one place
 arithmetic of its run alone, so every row's trajectory is bit for bit
 the one ``run`` gives it. The exact gradient is taken once per iterate,
 right after the step (``next_grad``, dropped with its row): the log line
-reads its norm and the next step's oracle adds noise to it.
+reads its norm and the next step's oracle adds noise to it. On a log
+step the same call gives the log line's f: a softmax pass returns it
+beside its gradients, the other objectives take it from ``value``.
 
 A worker's oracle draw is ``(gradient + noise) + shift``, row-wise over
 the whole array. Worker i's noise comes from its own stream
@@ -37,11 +39,13 @@ shifts are drawn once per distinct seed of a batch and gathered to its
 rows: the candidates of a tuning grid share a seed, and so their
 streams. Only workers with a label table (label-flipped Byzantine
 workers, or all workers of an ``oracle.labels`` table) replace the
-full-data gradient with their own shard gradient. Each row's exact
-gradient and those shard gradients come from one softmax pass at its
-iterate (``objectives.gradient_with_labels`` with the shard tables and
-the full-data table), and the oracle writes the shard gradients to their
-workers' columns in one assignment.
+full-data gradient with their own shard gradient; they are always a
+suffix of the worker axis. Every softmax run takes each row's exact
+gradient, those shard gradients and, on a log step, f from one softmax
+pass at its iterate (``objectives.gradient_with_labels`` with the shard
+tables and the full-data table, checked and indexed once per lockstep
+batch), and the oracle writes the shard gradients to the suffix's
+columns in one slice assignment.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from .objectives import (
     default_smoothness,
     gradient,
     gradient_with_labels,
+    index_tables,
     make_shifts,
     softmax_dataset,
     value,
@@ -255,28 +260,25 @@ def _worker_shifts(config: RunConfig) -> np.ndarray:
     return shifts
 
 
-def _label_tables(config: RunConfig) -> tuple[list[int], list[tuple[slice, np.ndarray]]]:
-    """The workers whose oracle uses its own labels, and the (rows,
-    labels) table of each: every row of an ``oracle.labels`` table, and
-    the label-flipped Byzantine workers."""
+def _label_tables(config: RunConfig) -> tuple[int, list[tuple[slice, np.ndarray]]]:
+    """The first worker whose oracle uses its own labels, and the (rows,
+    labels) table of each worker from there on. Those workers are a suffix
+    of the worker axis: all n with an ``oracle.labels`` table, else the
+    label-flipped Byzantine workers, the last B. n when no worker has one."""
     spec = config.objective
     if not spec.is_classification:
-        return [], []
+        return config.n, []
     G = config.n - config.B
-    dataset_labels = softmax_dataset(spec)[1]
-    workers, tables = [], []
-    for i in range(config.n):
+    given, flip = config.oracle.labels, config.attack.kind == "label_flip"
+    lo = 0 if given is not None else G if flip else config.n
+    tables = []
+    for i in range(lo, config.n):
         shard = worker_shard(spec, i)
-        labels = None
-        if config.oracle.labels is not None:
-            labels = np.asarray(config.oracle.labels[i])
-        if i >= G and config.attack.kind == "label_flip":
-            base = labels if labels is not None else dataset_labels[shard]
-            labels = shift_labels(base, config.attack.label_shift, spec.n_classes)
-        if labels is not None:
-            workers.append(i)
-            tables.append((shard, labels))
-    return workers, tables
+        labels = np.asarray(given[i]) if given is not None else softmax_dataset(spec)[1][shard]
+        if i >= G and flip:
+            labels = shift_labels(labels, config.attack.label_shift, spec.n_classes)
+        tables.append((shard, labels))
+    return lo, tables
 
 
 def _noise_steps(config: RunConfig, steps: int) -> Iterator[np.ndarray]:
@@ -382,11 +384,11 @@ def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunRes
         by_seed.setdefault(config.seed, config)
     seed_shifts = [_worker_shifts(config) for config in by_seed.values()]
     noise_streams = [_noise_steps(config, head.K + 1) for config in by_seed.values()]
-    workers, tables = _label_tables(head)
-    if workers:
-        # The full-data table goes last, where it may take the pass's own
-        # probabilities.
-        tables.append((slice(None), softmax_dataset(spec)[1]))
+    lo, tables = _label_tables(head)
+    if spec.is_classification:
+        # Checked and indexed once for the group. The full-data table goes
+        # last, where it may take the pass's own probabilities.
+        tables = index_tables(spec, [*tables, (slice(None), softmax_dataset(spec)[1])])
 
     row_seed = np.array([list(by_seed).index(config.seed) for config in configs])
     rows = _Rows(
@@ -402,27 +404,32 @@ def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunRes
         x=np.array([config.x0 for config in configs], dtype=float),
     )
 
-    def exact_gradients() -> None:
-        """The exact gradient at each row's iterate (``next_grad``) and,
-        with label tables, each labeled worker's shard gradient there
-        (``shard_grads``): one softmax pass per row gives them all."""
-        if workers:
-            g = gradient_with_labels(spec, rows.x, tables)
+    def exact_gradients(log: bool) -> None:
+        """The exact gradient at each row's iterate (``next_grad``), each
+        labeled worker's shard gradient there (``shard_grads``) and, on a
+        log step, f there (``f_val``): one softmax pass per row gives them
+        all."""
+        if spec.is_classification:
+            g = gradient_with_labels(spec, rows.x, tables, loss=log)
+            if log:
+                g, rows.f_val = g
             rows.next_grad, rows.shard_grads = g[:, -1], g[:, :-1]
         else:
             rows.next_grad = gradient(spec, rows.x)
+            if log:
+                rows.f_val = value(spec, rows.x)
 
     def oracle() -> np.ndarray:
         noise = [next(stream) for stream in noise_streams]
         # One seed's (n, d) noise broadcasts to every row.
         noise = noise[0] if len(noise) == 1 else np.stack(noise)[rows.seed]
         grads = rows.base_grad[:, None, :] + noise
-        if workers:
-            grads[:, workers] = rows.shard_grads + noise[..., workers, :]
+        if lo < head.n:
+            grads[:, lo:] = rows.shard_grads + noise[..., lo:, :]
         grads += rows.shifts
         return grads
 
-    exact_gradients()
+    exact_gradients(log=True)
     rows.base_grad = rows.next_grad
     grads = oracle()
     if head.init_momentum == "stochastic_gradient":
@@ -439,7 +446,7 @@ def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunRes
             aggregates=[] if capture_states else None,
         )
         for x_r, s, gn, f in zip(rows.x, row_seed, norms(rows.base_grad).tolist(),
-                                 value(spec, rows.x).tolist())
+                                 rows.f_val.tolist())
     ]
 
     for k in range(1, head.K + 1):
@@ -476,10 +483,11 @@ def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunRes
                 results[r].states.append(x_r.copy())
                 results[r].aggregates.append(v_r)
 
-        # The one pass at x^k: the log's gradient and the next oracle's.
-        exact_gradients()
-        if k % head.log_every == 0 or k == head.K:
-            rows.f_val = value(spec, rows.x)
+        # The one pass at x^k: the log's loss and gradient and the next
+        # oracle's gradient.
+        log = k % head.log_every == 0 or k == head.K
+        exact_gradients(log)
+        if log:
             rows.grad_norm = norms(rows.next_grad)
             out = ~(np.isfinite(rows.f_val) & np.isfinite(rows.grad_norm))
             if out.any():

@@ -25,18 +25,24 @@ features: a contiguous feature-major (F, N) array, which
 come straight out of ``W @ features.T`` as a contiguous (C, N) array, so
 that the max, subtract, exp, sum and divide each run over N-long rows
 instead of numpy's 10-long inner loops over each sample's C classes. The
-sum over classes, ``z.sum(axis=0)``, adds the C rows one after another:
+sum over classes, ``z.sum(axis=-2)``, adds the C rows one after another:
 a running sum in class order, at every C, as long as N > 1. A single
 column is one contiguous C-long reduction, which numpy adds pairwise, so
 ``_running_class_sum`` takes the last entry of a running ``np.add.accumulate``
-there instead. One pass gives the (C, N) probabilities P at a point, and
-every gradient at that point is taken from it: a ``(rows, labels)``
-table takes P's columns ``rows``, less one at each row's label, times
-the same rows of the features, ``Q (C, m) @ features[rows]``. The
-full-data gradient is the table of every row and the dataset's labels;
-a label-flipped or ``oracle.labels`` shard is the table of its rows and
+there instead. One pass at a point gives the shifted logits z, their
+class sums s and the (C, N) probabilities P, and every softmax quantity
+there comes from it. The loss f = mean(log(s) - z[label, i]) gathers
+each row's logit at its label before exp overwrites z. A ``(rows,
+labels)`` table's gradient takes P's columns ``rows``, less one at each
+row's label, times the same rows of the features, ``Q (C, m) @
+features[rows]``. Tables are checked and indexed once (``index_tables``);
+the full-data table is indexed once per spec, cached with the dataset.
+A label-flipped or ``oracle.labels`` shard is the table of its rows and
 its own labels. Each table's Q is a contiguous (C, m) array, whichever
 tables share the pass, so each gradient has the bits of its table alone.
+``value`` on R points is one stacked (R, C, F) @ (F, N) product, whose
+slices have the bits of R separate products; flattened to one (R C, F)
+product it would round differently.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ __all__ = [
     "default_smoothness",
     "softmax_dataset",
     "worker_shard",
+    "index_tables",
     "gradient_with_labels",
 ]
 
@@ -94,8 +101,10 @@ class ObjectiveSpec:
         if self.kind == "softmax":
             if self.n_classes < 2:
                 raise ConfigError("'n_classes' in objective: softmax needs n_classes >= 2")
-            if self.feature_dim < 1 or self.samples_per_worker < 1 or self.n_workers < 1:
-                raise ConfigError("softmax needs feature_dim, samples_per_worker, n_workers >= 1")
+            for key in ("feature_dim", "samples_per_worker", "n_workers"):
+                if getattr(self, key) < 1:
+                    raise ConfigError(f"{key!r} in objective: softmax needs {key} >= 1, "
+                                      f"got {getattr(self, key)}")
             if self.dim != self.n_classes * self.feature_dim:
                 raise ConfigError(f"'dim' in objective: softmax dim must equal n_classes*feature"
                                   f"_dim = {self.n_classes * self.feature_dim}, got {self.dim}")
@@ -168,10 +177,11 @@ def value(spec: ObjectiveSpec, x: np.ndarray):
     """f at the point x, or the (R,) values at each row of a (R, dim) x."""
     x = _points(spec, x)
     if spec.kind == "softmax":
-        if x.ndim == 2:
-            return np.array([_softmax_value(spec, row) for row in x])
-        return _softmax_value(spec, x)
-    if spec.kind == "quartic":
+        # One stacked pass for all rows; f is mean(log(s) - z[label, i]).
+        z = _shifted_logits(spec, x)
+        picked = z.reshape(*x.shape[:-1], -1)[..., _full_table(spec)[1]]
+        out = np.mean(np.log(_running_class_sum(np.exp(z))) - picked, axis=-1)
+    elif spec.kind == "quartic":
         s = dot(x, x)
         out = s * s
     else:
@@ -181,36 +191,46 @@ def value(spec: ObjectiveSpec, x: np.ndarray):
 
 def _shifted_logits(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     """The (C, N) class-major logits of the flattened weight matrix x on
-    every data row, each column less its maximum."""
+    every data row, each column less its maximum; a (R, C, N) stack of
+    them, from one stacked product, for a (R, dim) x."""
     feats = softmax_dataset(spec)[0]
-    z = x.reshape(spec.n_classes, spec.feature_dim) @ feats.T
-    z -= np.maximum.reduce(z, axis=0)
+    z = x.reshape(*x.shape[:-1], spec.n_classes, spec.feature_dim) @ feats.T
+    z -= np.maximum.reduce(z, axis=-2, keepdims=True)
     return z
 
 
 def _running_class_sum(z: np.ndarray) -> np.ndarray:
-    """The (N,) sums over the classes of the (C, N) array z, each a
-    running sum in class order."""
-    if z.shape[1] == 1:
-        return np.add.accumulate(z[:, 0])[-1:]
-    return z.sum(axis=0)
+    """The (..., N) sums over the classes of the (..., C, N) array z, each
+    a running sum in class order."""
+    if z.shape[-1] == 1:
+        return np.add.accumulate(z[..., 0], axis=-1)[..., -1:]
+    return z.sum(axis=-2)
 
 
-def _softmax_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
-    """Mean cross-entropy at the flattened weight matrix x."""
-    labels = softmax_dataset(spec)[1]
-    z = _shifted_logits(spec, x)
-    logz = np.log(_running_class_sum(np.exp(z)))
-    return float(np.mean(logz - z[labels, np.arange(len(labels))]))
+def index_tables(spec: ObjectiveSpec, tables) -> list[tuple[slice, np.ndarray, int]]:
+    """Check each ``(rows, labels)`` table, the data rows of the slice
+    ``rows`` with one label per row, and index it for
+    ``gradient_with_labels``: ``(rows, flat label index, m)``, where row
+    j's entry for its label sits at label*m + j of the flat (C, m) Q."""
+    if spec.kind != "softmax":
+        raise ConfigError("label tables only apply to softmax objectives")
+    n_rows = len(softmax_dataset(spec)[1])
+    indexed = []
+    for rows, labels in tables:
+        labels = np.asarray(labels)
+        m = len(range(n_rows)[rows])
+        if len(labels) != m:
+            raise ConfigError(f"{len(labels)} labels for {m} feature rows")
+        if labels.min() < 0 or labels.max() >= spec.n_classes:
+            raise ConfigError(f"labels must lie in [0, {spec.n_classes})")
+        indexed.append((rows, labels * m + np.arange(m), m))
+    return indexed
 
 
-def _class_probabilities(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
-    """One softmax pass: the (C, N) probabilities of the flattened weight
-    matrix x, column i the distribution of data row i over the classes."""
-    p = _shifted_logits(spec, x)
-    np.exp(p, out=p)
-    p /= _running_class_sum(p)
-    return p
+@lru_cache(maxsize=8)
+def _full_table(spec: ObjectiveSpec) -> tuple[slice, np.ndarray, int]:
+    """The indexed table of every data row and the dataset's labels."""
+    return index_tables(spec, [(slice(None), softmax_dataset(spec)[1])])[0]
 
 
 def gradient(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
@@ -222,15 +242,15 @@ def gradient(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "exponential":
         a = np.asarray(spec.direction)
         return a * np.exp(dot(x, a))[..., None]
-    labels = softmax_dataset(spec)[1]
-    return gradient_with_labels(spec, x, [(slice(None), labels)])[..., 0, :]
+    return gradient_with_labels(spec, x, [_full_table(spec)])[..., 0, :]
 
 
-def gradient_with_labels(spec: ObjectiveSpec, x: np.ndarray, tables) -> np.ndarray:
-    """The mean cross-entropy gradient of each ``(rows, labels)`` table:
-    the data rows of the slice ``rows``, with one label per row. All come
-    from one softmax pass per point: a (T, dim) array for one point x, a
-    (R, T, dim) one for a (R, dim) row of points.
+def gradient_with_labels(spec: ObjectiveSpec, x: np.ndarray, tables, loss: bool = False):
+    """The mean cross-entropy gradient of each table of ``index_tables``,
+    all from one softmax pass per point: a (T, dim) array for one point x,
+    a (R, T, dim) one for a (R, dim) row of points. With ``loss``, also f
+    at each point from the same pass, the bits of ``value``: returns
+    ``(gradients, f)``.
 
     The full-data gradient is the table ``(slice(None), labels)``; a
     worker's shard with flipped or given labels is one more table.
@@ -238,27 +258,24 @@ def gradient_with_labels(spec: ObjectiveSpec, x: np.ndarray, tables) -> np.ndarr
     if spec.kind != "softmax":
         raise ConfigError("gradient_with_labels only applies to softmax objectives")
     x = _points(spec, x)
-    n_rows = len(softmax_dataset(spec)[1])
-    checked = []
-    for rows, labels in tables:
-        labels = np.asarray(labels)
-        m = len(range(n_rows)[rows])
-        if len(labels) != m:
-            raise ConfigError(f"{len(labels)} labels for {m} feature rows")
-        if labels.min() < 0 or labels.max() >= spec.n_classes:
-            raise ConfigError(f"labels must lie in [0, {spec.n_classes})")
-        # Row j's entry for its label sits at label*m + j of the flat (C, m) Q.
-        checked.append((rows, labels * m + np.arange(m), m))
-    if x.ndim == 2:
-        return np.array([_table_gradients(spec, row, checked) for row in x])
-    return _table_gradients(spec, x, checked)
+    passes = [_table_gradients(spec, row, tables, loss) for row in x.reshape(-1, spec.dim)]
+    grads = np.array([g for g, _ in passes]).reshape(*x.shape[:-1], len(tables), spec.dim)
+    if not loss:
+        return grads
+    f = np.array([f for _, f in passes])
+    return grads, (f if x.ndim == 2 else float(f[0]))
 
 
-def _table_gradients(spec: ObjectiveSpec, x: np.ndarray, tables) -> np.ndarray:
-    """The (T, dim) gradients of the checked ``(rows, flat label index,
-    m)`` tables at the point x, from one softmax pass."""
+def _table_gradients(spec: ObjectiveSpec, x: np.ndarray, tables, loss: bool):
+    """One softmax pass at the point x: the (T, dim) gradients of the
+    indexed tables, and f there with ``loss`` (else None)."""
     feats = softmax_dataset(spec)[0]
-    p = _class_probabilities(spec, x)
+    p = _shifted_logits(spec, x)
+    # f = mean(log(s) - z[label, i]) takes each row's logit before exp.
+    picked = p.reshape(-1)[_full_table(spec)[1]] if loss else None
+    np.exp(p, out=p)
+    s = _running_class_sum(p)
+    p /= s
     out = np.empty((len(tables), spec.dim))
     for t, (rows, flat, m) in enumerate(tables):
         # The last table may take P's own columns in place; the others copy
@@ -268,7 +285,7 @@ def _table_gradients(spec: ObjectiveSpec, x: np.ndarray, tables) -> np.ndarray:
             q = q.copy()
         q.reshape(-1)[flat] -= 1.0
         out[t] = (q @ feats[rows]).ravel() / m
-    return out
+    return out, (float(np.mean(np.log(s) - picked)) if loss else None)
 
 
 def make_shifts(rng: RngStream, G: int, d: int, shift_variance: float) -> np.ndarray:

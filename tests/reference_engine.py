@@ -50,6 +50,7 @@ from byzsim.objectives import (
     ObjectiveSpec,
     gradient,
     gradient_with_labels,
+    index_tables,
     softmax_dataset,
     value,
 )
@@ -187,14 +188,15 @@ def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:
     spec = config.objective
     G = config.n - config.B
     shifts = _worker_shifts(config)
-    workers, tables = _label_tables(config)
+    lo, tables = _label_tables(config)
+    tables = index_tables(spec, tables) if tables else []
     noise_steps = _noise_steps(config, config.K + 1)
     x = np.array(config.x0, dtype=float)
 
     def oracle(x: np.ndarray, base_grad: np.ndarray) -> np.ndarray:
         noise = next(noise_steps)
         grads = base_grad + noise
-        for i, table in zip(workers, tables):
+        for i, table in enumerate(tables, lo):
             grads[i] = gradient_with_labels(spec, x, [table])[0] + noise[i]
         grads += shifts
         return grads

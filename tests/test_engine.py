@@ -337,19 +337,57 @@ def test_label_flip_makes_one_softmax_pass_per_row_and_iterate(monkeypatch):
     import byzsim.objectives
 
     passes = []
-    original = byzsim.objectives._class_probabilities
+    original = byzsim.objectives._shifted_logits
 
     def counted(spec, x):
         passes.append(x.tobytes())
         return original(spec, x)
 
-    monkeypatch.setattr(byzsim.objectives, "_class_probabilities", counted)
+    monkeypatch.setattr(byzsim.objectives, "_shifted_logits", counted)
     configs = [softmax_config(K=7, seed=seed, log_every=3) for seed in (1, 2)]
     results = run_batch(configs)
     assert [len(r.records) for r in results] == [4, 4]
     assert len(passes) == 2 * (7 + 1)
     # Both rows start at x0 = 0, then each pass is at a point of its own.
     assert len(set(passes)) == 2 * 7 + 1
+
+
+@pytest.mark.parametrize("attack", [AttackSpec(kind="label_flip", label_shift=2),
+                                    AttackSpec(kind="none")], ids=["label-flip", "no-labels"])
+def test_logged_softmax_run_takes_its_loss_from_the_step_pass(monkeypatch, attack):
+    """A softmax run of K steps logged at every step makes exactly K + 1
+    softmax passes, one per iterate: each log line's loss comes from the
+    pass that gave the step its gradients, with no second pass for
+    ``value``. The label tables are checked and indexed once per lockstep
+    group, not once per pass."""
+    import byzsim.engine
+    import byzsim.objectives
+
+    passes, indexings = [], []
+    logits, index = byzsim.objectives._shifted_logits, byzsim.engine.index_tables
+
+    def counted_logits(spec, x):
+        passes.append(x.shape)
+        return logits(spec, x)
+
+    def counted_index(spec, tables):
+        indexings.append(len(tables))
+        return index(spec, tables)
+
+    monkeypatch.setattr(byzsim.objectives, "_shifted_logits", counted_logits)
+    monkeypatch.setattr(byzsim.engine, "index_tables", counted_index)
+    K = 6
+    result = run(softmax_config(K=K, log_every=1, attack=attack))
+    assert [r.k for r in result.records] == list(range(K + 1))
+    assert len(passes) == K + 1
+    assert indexings == [3 if attack.kind == "label_flip" else 1]
+    # Two lockstep groups (one per label shift), two rows each.
+    passes.clear(), indexings.clear()
+    run_batch([softmax_config(K=K, log_every=1, seed=seed,
+                              attack=AttackSpec(kind="label_flip", label_shift=shift))
+               for shift in (1, 2) for seed in (1, 2)])
+    assert len(passes) == 4 * (K + 1)
+    assert indexings == [3, 3]
 
 
 def test_worker_label_table_override():

@@ -441,6 +441,9 @@ SOFTMAX_OBJECTIVE = {"kind": "softmax", "dim": 12, "n_classes": 4, "feature_dim"
                  id="exponential-direction"),
     pytest.param({"objective": {**SOFTMAX_OBJECTIVE, "dim": 3, "n_classes": 1}}, "objective",
                  "n_classes", "softmax needs n_classes >= 2", id="softmax-one-class"),
+    *(pytest.param({"objective": {**SOFTMAX_OBJECTIVE, key: 0}}, "objective", key,
+                   f"softmax needs {key} >= 1, got 0", id=f"softmax-no-{key}")
+      for key in ("feature_dim", "samples_per_worker", "n_workers")),
     pytest.param({"objective": {**SOFTMAX_OBJECTIVE, "dim": 13}}, "objective", "dim",
                  "softmax dim must equal n_classes", id="softmax-dim"),
     pytest.param({"objective": {**SOFTMAX_OBJECTIVE, "n_workers": 3}}, "objective", "n_workers",

@@ -11,6 +11,7 @@ from byzsim.objectives import (
     default_smoothness,
     gradient,
     gradient_with_labels,
+    index_tables,
     make_shifts,
     softmax_dataset,
     value,
@@ -196,8 +197,8 @@ def test_softmax_dataset_shards_are_class_sorted():
 def test_softmax_flipped_labels_change_gradient():
     _, labels = softmax_dataset(SOFTMAX)
     x = RngStream(2, 0).normal(12)
-    g, g_flipped = gradient_with_labels(SOFTMAX, x, [(slice(None), labels),
-                                                     (slice(None), (labels + 1) % 4)])
+    g, g_flipped = gradient_with_labels(SOFTMAX, x, index_tables(
+        SOFTMAX, [(slice(None), labels), (slice(None), (labels + 1) % 4)]))
     assert np.linalg.norm(g - g_flipped) > 1e-3
 
 
@@ -231,7 +232,7 @@ def test_class_major_softmax_equals_row_major(n_classes, feature_dim, rows, work
     rows_ = worker_shard(spec, seed % workers) if shard else slice(None)
     table = [(rows_, (softmax_dataset(spec)[1][rows_] + label_shift) % n_classes)]
     x = RngStream(seed, 1).normal(spec.dim, std=scale)
-    assert np.array_equal(gradient_with_labels(spec, x, table),
+    assert np.array_equal(gradient_with_labels(spec, x, index_tables(spec, table)),
                           reference_gradient_with_labels(spec, x, table))
     assert value(spec, x) == reference_softmax_value(spec, x)
 
@@ -240,11 +241,11 @@ def test_gradient_with_labels_needs_one_label_per_feature_row():
     _, labels = softmax_dataset(SOFTMAX)
     x = RngStream(2, 0).normal(12)
     with pytest.raises(ConfigError, match="14 labels for 15 feature rows"):
-        gradient_with_labels(SOFTMAX, x, [(slice(None), labels), (slice(0, 15), labels[:14])])
+        index_tables(SOFTMAX, [(slice(None), labels), (slice(0, 15), labels[:14])])
 
 
 @st.composite
-def label_tables(draw, labels, n_classes, workers, m):
+def label_tables(draw, labels, n_classes, workers, m, max_tables=6):
     """A mix of ``(rows, labels)`` tables over a dataset with ``labels``,
     in ``workers`` shards of m rows: the full data with its labels, worker
     shards with shifted labels (label flipping), shards with labels drawn
@@ -253,7 +254,7 @@ def label_tables(draw, labels, n_classes, workers, m):
     rows = len(labels)
     tables = []
     for kind in draw(st.lists(st.sampled_from(["full", "flip", "given", "slice"]),
-                              min_size=1, max_size=6)):
+                              min_size=1, max_size=max_tables)):
         if kind == "full":
             tables.append((slice(None), labels))
             continue
@@ -304,17 +305,69 @@ def test_one_pass_gives_each_table_its_own_gradient(data, n_classes, feature_dim
     else:
         tables = data.draw(label_tables(labels, n_classes, workers, m))
     x = RngStream(seed, 1).normal(spec.dim, std=scale)
-    got = gradient_with_labels(spec, x, tables)
+    indexed = index_tables(spec, tables)
+    got = gradient_with_labels(spec, x, indexed)
     assert got.shape == (len(tables), spec.dim)
     assert np.array_equal(got, reference_gradient_with_labels(spec, x, tables))
-    for t, table in enumerate(tables):
+    for t, table in enumerate(indexed):
         assert np.array_equal(gradient_with_labels(spec, x, [table])[0], got[t])
-    assert np.array_equal(gradient_with_labels(spec, x, tables[::-1]), got[::-1])
+    assert np.array_equal(gradient_with_labels(spec, x, indexed[::-1]), got[::-1])
     # A row of points is one pass per point.
     points = np.stack([x, 2.0 * x])
-    both = gradient_with_labels(spec, points, tables)
+    both = gradient_with_labels(spec, points, indexed)
     assert np.array_equal(both[0], got)
-    assert np.array_equal(both[1], gradient_with_labels(spec, 2.0 * x, tables))
+    assert np.array_equal(both[1], gradient_with_labels(spec, 2.0 * x, indexed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_classes=st.integers(2, 11), feature_dim=st.integers(1, 20),
+       workers=st.integers(1, 4), m=st.integers(1, 100),
+       scale=st.just(0.0) | st.floats(1e-3, 100.0), seed=st.integers(0, 2**32 - 1))
+@example(data=None, n_classes=2, feature_dim=1, workers=1, m=1, scale=0.0, seed=0)
+@example(data=None, n_classes=2, feature_dim=3, workers=1, m=1, scale=1.0, seed=1)
+@example(data=None, n_classes=10, feature_dim=20, workers=4, m=100, scale=30.0, seed=2)
+def test_loss_from_the_pass_equals_value(data, n_classes, feature_dim, workers, m, scale, seed):
+    """The loss a pass returns beside its gradients is ``value`` at that
+    point, bit for bit, whichever one to four tables share the pass, and
+    at each row of a (R, dim) block. Covers a dataset of one row (whose
+    class sum is a running ``add.accumulate``), two classes and x = 0."""
+    spec = ObjectiveSpec(kind="softmax", dim=n_classes * feature_dim, n_classes=n_classes,
+                         feature_dim=feature_dim, feature_seed=seed % 1000,
+                         samples_per_worker=m, n_workers=workers)
+    labels = softmax_dataset(spec)[1]
+    if data is None:
+        tables = [(slice(None), labels)]
+    else:
+        tables = data.draw(label_tables(labels, n_classes, workers, m, max_tables=4))
+    tables = index_tables(spec, tables)
+    x = RngStream(seed, 1).normal(spec.dim, std=scale)
+    grads, f = gradient_with_labels(spec, x, tables, loss=True)
+    assert np.array_equal(grads, gradient_with_labels(spec, x, tables))
+    assert np.array_equal(f, value(spec, x))
+    points = np.stack([np.zeros(spec.dim), x, 2.0 * x])
+    grads, f = gradient_with_labels(spec, points, tables, loss=True)
+    assert np.array_equal(grads, gradient_with_labels(spec, points, tables))
+    assert np.array_equal(f, [value(spec, p) for p in points])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_classes=st.integers(2, 11), feature_dim=st.integers(1, 20), workers=st.integers(1, 4),
+       m=st.integers(1, 104), R=st.integers(1, 40), scale=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_classes=2, feature_dim=1, workers=1, m=1, R=3, scale=1.0, seed=0)
+@example(n_classes=10, feature_dim=20, workers=4, m=104, R=40, scale=3.0, seed=1)
+def test_batched_value_equals_the_row_loop(n_classes, feature_dim, workers, m, R, scale, seed):
+    """``value`` on a (R, dim) block, one stacked pass, gives each row the
+    bits of ``value`` at that row alone: from 2 classes to 11, on up to
+    416 data rows or a single one, at x = 0 (row 0) and at growing scales."""
+    spec = ObjectiveSpec(kind="softmax", dim=n_classes * feature_dim, n_classes=n_classes,
+                         feature_dim=feature_dim, feature_seed=seed % 1000,
+                         samples_per_worker=m, n_workers=workers)
+    X = RngStream(seed, 1).normal(R * spec.dim, std=scale).reshape(R, spec.dim)
+    X *= np.arange(R)[:, None]
+    got = value(spec, X)
+    assert got.shape == (R,)
+    assert np.array_equal(got, [value(spec, x) for x in X])
 
 
 def test_spec_validation():
