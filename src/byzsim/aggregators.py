@@ -11,8 +11,9 @@ whether nearest-neighbor mixing (NNM) runs first: each input is replaced
 by the mean of its G = n - B nearest inputs (itself included), which
 contracts heterogeneity before the robust rule runs. NNM adds the G
 neighbours in sorted order, one after another, at every d, and divides
-the sum by G. Every other setting follows from the run: Krum and the
-trimmed mean take the run's B, and Weiszfeld runs with the
+the sum by G. Every other setting follows from the setting the rule is
+applied in: n is the number of inputs, Krum and the trimmed mean take
+the Byzantine budget B the caller passes, and Weiszfeld runs with the
 ``geometric_median`` defaults.
 
 ``theoretical_kappa`` exposes the closed-form robustness coefficients
@@ -50,28 +51,32 @@ __all__ = [
 class AggregatorSpec:
     """Aggregation rule selection: the rule and whether NNM runs first.
 
-    B is the Byzantine budget the rule defends against (also the NNM
+    The rule holds no n or B: n is the number of vectors it aggregates,
+    and B, the Byzantine budget it defends against (also the NNM
     neighbor-count complement and the trimmed mean's per-side trim
-    count); n and B are always the run's own. Weiszfeld runs with the
+    count), is passed with them. Weiszfeld runs with the
     ``geometric_median`` defaults.
     """
 
     rule: Literal["mean", "krum", "gm", "cwmed", "trimmed_mean"]
-    n: int
-    B: int
     nnm: bool = False
 
     def __post_init__(self):
         check_choices(self)
-        if not 0 <= self.B < self.n / 2:
-            raise ConfigError(f"need 0 <= B < n/2, got B={self.B}, n={self.n}")
-        if self.rule == "krum" and self.n - self.B - 2 < 1:
-            raise ConfigError(f"krum needs n - B - 2 >= 1, got n={self.n}, B={self.B}")
 
     @property
     def name(self) -> str:
         """The rule as reports and sweep cells spell it: ``gm+nnm``."""
         return self.rule + ("+nnm" if self.nnm else "")
+
+
+def check_budget(rule: str, n: int, B: int) -> None:
+    """Raise ConfigError unless ``rule`` can aggregate n vectors against a
+    Byzantine budget B: 0 <= B < n/2, and n - B - 2 >= 1 for Krum."""
+    if not 0 <= B < n / 2:
+        raise ConfigError(f"need 0 <= B < n/2, got B={B}, n={n}")
+    if rule == "krum" and n - B - 2 < 1:
+        raise ConfigError(f"krum needs n - B - 2 >= 1, got n={n}, B={B}")
 
 
 def _as_matrix(vectors) -> np.ndarray:
@@ -230,24 +235,23 @@ def trimmed_mean(vectors, trim_b: int) -> np.ndarray:
     return np.sort(mat, axis=-2)[..., trim_b : n - trim_b, :].mean(axis=-2)
 
 
-def aggregate(spec: AggregatorSpec, vectors) -> np.ndarray:
-    """Run the configured rule (after NNM when enabled) on exactly n
-    vectors of common dimension, or on each (n, d) matrix of a (T, n, d)
-    block."""
+def aggregate(spec: AggregatorSpec, vectors, B: int) -> np.ndarray:
+    """Run the configured rule (after NNM when enabled) against the
+    Byzantine budget B on n vectors of common dimension, or on each
+    (n, d) matrix of a (T, n, d) block."""
     mat = _as_matrix(vectors)
-    if mat.shape[-2] != spec.n:
-        raise ConfigError(f"expected {spec.n} vectors, got {mat.shape[-2]}")
+    check_budget(spec.rule, mat.shape[-2], B)
     if spec.nnm:
-        mat = nnm_transform(mat, spec.B)
+        mat = nnm_transform(mat, B)
     if spec.rule == "mean":
         return mat.mean(axis=-2)
     if spec.rule == "krum":
-        return krum(mat, spec.B)
+        return krum(mat, B)
     if spec.rule == "gm":
         return geometric_median(mat)
     if spec.rule == "cwmed":
         return coordinate_median(mat)
-    return trimmed_mean(mat, spec.B)
+    return trimmed_mean(mat, B)
 
 
 def base_kappa(rule: str, n: int, B: int, d: int) -> float | None:
@@ -261,9 +265,11 @@ def base_kappa(rule: str, n: int, B: int, d: int) -> float | None:
 
 
 def theoretical_kappa(
-    spec: AggregatorSpec, d: int, leverage_c: float | np.ndarray | None = None
+    spec: AggregatorSpec, n: int, B: int, d: int,
+    leverage_c: float | np.ndarray | None = None,
 ) -> float | np.ndarray | None:
-    """Closed-form robustness coefficient for the spec, or None.
+    """Closed-form robustness coefficient of the spec on n inputs with
+    Byzantine budget B in dimension d, or None.
 
     NNM compositions need the leverage constant C of the good cluster,
     which is instance-dependent; callers that certify per instance pass
@@ -271,12 +277,12 @@ def theoretical_kappa(
     then has its shape). Without it the NNM coefficient is undefined and
     None is returned.
     """
-    kappa = base_kappa(spec.rule, spec.n, spec.B, d)
+    kappa = base_kappa(spec.rule, n, B, d)
     if kappa is None:
         return None
     if not spec.nnm:
         return kappa
     if leverage_c is None:
         return None
-    alpha = spec.B / (spec.n - spec.B)
+    alpha = B / (n - B)
     return (8.0 * kappa + 4.0) * alpha * leverage_c

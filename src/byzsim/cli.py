@@ -132,11 +132,11 @@ class Check(NamedTuple):
 
 
 def _robustness(expect: str, stream: int, *rules: tuple[str, bool]) -> Check:
-    specs = [AggregatorSpec(rule=rule, n=N, B=B, nnm=nnm) for rule, nnm in rules]
+    specs = [AggregatorSpec(rule=rule, nnm=nnm) for rule, nnm in rules]
     # trials by keyword: the benchmark's tracer reads the instance count there.
     return Check(tuple(f"robustness[{spec.name}]" for spec in specs), expect,
                  lambda seed, trials: check_robustness(
-                     *specs, trials=trials, d=D, rng=RngStream(seed, stream)))
+                     *specs, n=N, B=B, trials=trials, d=D, rng=RngStream(seed, stream)))
 
 
 def _gradient(spec: ObjectiveSpec) -> Check:
@@ -171,7 +171,7 @@ BATTERY = (
     _robustness("reported", 2, ("krum", False)),
     _robustness("reported", 2, ("trimmed_mean", False)),
     Check(("robustness[mean]",), "teeth", lambda seed, trials: check_robustness(
-        AggregatorSpec(rule="mean", n=N, B=B), trials=max(trials // 10, 100), d=D,
+        AggregatorSpec(rule="mean"), n=N, B=B, trials=max(trials // 10, 100), d=D,
         rng=RngStream(seed, 3), kappa=1e6)),
     Check(("l0l1[quartic]",), "certified", lambda seed, trials: [check_l0l1(
         QUARTIC, default_smoothness(QUARTIC), trials, radius=5.0, rng=RngStream(seed, 4))]),

@@ -58,7 +58,7 @@ from typing import Literal
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, aggregate, base_kappa
+from .aggregators import AggregatorSpec, aggregate, base_kappa, check_budget
 from .attacks import AttackSpec, byzantine_update, shift_labels
 from .core import (
     SHIFT_STREAM,
@@ -205,9 +205,8 @@ def gamma0_cap(L1: float, kappa: float, K: int) -> float:
 def validate(config: RunConfig) -> None:
     """Raise ConfigError unless ``config`` can run."""
     check_choices(config)
-    # AggregatorSpec checks 0 <= B < n/2 for the (n, B) it is built with.
-    if config.aggregator.n != config.n or config.aggregator.B != config.B:
-        raise ConfigError("aggregator (n, B) must match the run's (n, B)")
+    # The run's n and B are the only ones: the rule is applied with them.
+    check_budget(config.aggregator.rule, config.n, config.B)
     if config.x0.shape != (config.objective.dim,):
         raise ConfigError(
             f"x0 has shape {config.x0.shape}, expected ({config.objective.dim},)"
@@ -460,7 +459,7 @@ def _run_lockstep(configs: list[RunConfig], capture_states: bool) -> list[RunRes
             byz = byzantine_update(head.attack, k - 1, rows.momenta, grads, G)
             sent = np.concatenate((rows.momenta[:, :G], byz), axis=1)
 
-        rows.v = v = aggregate(head.aggregator, sent)
+        rows.v = v = aggregate(head.aggregator, sent, head.B)
         rows.v_norm = norms(v)
         # The normalized optimizer steps gamma along v/|v|, or not at all
         # on a vanishing aggregate; the baselines step gamma * v.

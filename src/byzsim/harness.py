@@ -14,11 +14,11 @@ fields back out.
 ``parse_config`` is the one place a ``RunConfig`` is built from data,
 and it returns only configs that can run (``engine.validate``). Cells
 are parsed: a sweep cell is a config dict with some paths set
-(``with_changes``) and parsed, so a theoretical horizon follows K and the
-aggregator's (n, B) follow the run's. Runs derived from a cell are
-replaced (``dataclasses.replace``): a tuning candidate or a seed run sets
-only seed, K, log_every or gamma0, which no field is derived from, so a
-theoretical horizon stays at the cell's K.
+(``with_changes``) and parsed, so a theoretical horizon follows K. n and
+B are stored once, on the run, and the rule is applied with them. Runs
+derived from a cell are replaced (``dataclasses.replace``): a tuning
+candidate or a seed run sets only seed, K, log_every or gamma0, which no
+field is derived from, so a theoretical horizon stays at the cell's K.
 
 A sweep manifest is a base config dict plus axes. The named axes
 ``seeds``, ``attacks``, ``aggregators`` and ``optimizers`` set the config
@@ -61,7 +61,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregators import AggregatorSpec
 from .core import ConfigError, check_choice, field_hints
 # ``run`` is not called here; it stays importable as ``byzsim.harness.run``,
 # a name bench/tracing.py times.
@@ -99,9 +98,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
 DEFAULT_TUNING_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 
 # Parse-time defaults by dotted path. An omitted field without an entry
-# takes its dataclass default. Two more values are implied by other keys:
-# the aggregator's n and B are always the run's, and a theoretical
-# schedule's horizon defaults to K; both are derived again on every parse.
+# takes its dataclass default. One more value is implied by another key:
+# a theoretical schedule's horizon defaults to K, derived again on every
+# parse.
 DEFAULTS = {
     "objective.kind": "quartic",
     "objective.dim": 10,
@@ -115,7 +114,6 @@ DEFAULTS = {
     "schedule.kind": "constant",
     "schedule.gamma0": 0.1,
 }
-FROM_RUN = ("n", "B")  # AggregatorSpec fields never read from a file
 
 # Which step schedule each optimizer variant pairs with in sweeps.
 OPTIMIZER_SCHEDULE = {
@@ -252,10 +250,7 @@ def _parse_x0(raw, dim: int) -> np.ndarray:
         return np.ones(dim)
     if raw == "zeros":
         return np.zeros(dim)
-    x0 = np.array(_typed(tuple[float, ...], raw, "x0", "config"))
-    if x0.shape != (dim,):
-        raise ConfigError(f"x0 has length {x0.size}, expected {dim}")
-    return x0
+    return np.array(_typed(tuple[float, ...], raw, "x0", "config"))
 
 
 def parse_config(d: dict) -> RunConfig:
@@ -264,9 +259,9 @@ def parse_config(d: dict) -> RunConfig:
     configs that cannot run raise ConfigError."""
     _check_keys(d, field_hints(RunConfig).keys() | {"schema"}, "config")
     _check_schema(d)
-    # The aggregator, the schedule and x0 depend on n, B, K and dim: they
-    # are built once those are read.
-    late = dict.fromkeys(("aggregator", "schedule", "x0"))
+    # The schedule and x0 depend on K and dim: they are built once those
+    # are read.
+    late = dict.fromkeys(("schedule", "x0"))
     draft = _build(RunConfig, {k: v for k, v in d.items() if k not in late and k != "schema"},
                    "config", **late)
     schedule = d.get("schedule", {})
@@ -275,8 +270,6 @@ def parse_config(d: dict) -> RunConfig:
         schedule = {"horizon": draft.K, **schedule}
     config = replace(
         draft,
-        aggregator=_build(AggregatorSpec, d.get("aggregator", {}), "aggregator",
-                          n=draft.n, B=draft.B),
         schedule=_build(Schedule, schedule, "schedule"),
         x0=_parse_x0(d.get("x0", DEFAULTS["x0"]), draft.objective.dim),
     )
@@ -286,9 +279,7 @@ def parse_config(d: dict) -> RunConfig:
 
 def _to_json(value):
     if is_dataclass(value):
-        skip = FROM_RUN if isinstance(value, AggregatorSpec) else ()
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)
-                if f.name not in skip}
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):

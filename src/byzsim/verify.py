@@ -44,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, aggregate, base_kappa, theoretical_kappa
+from .aggregators import AggregatorSpec, aggregate, base_kappa, check_budget, theoretical_kappa
 from .core import ConfigError, RngStream, dot, norms
 from .engine import RunConfig, RunResult, schedule_values
 from .objectives import ObjectiveSpec, SmoothnessMeta, default_smoothness, gradient, value
@@ -218,14 +218,17 @@ class _Labelings:
 
 def check_robustness(
     *specs: AggregatorSpec,
+    n: int,
+    B: int,
     trials: int,
     d: int,
     rng: RngStream,
     kappa: float | None = None,
     tol_rel: float = 1e-9,
 ) -> list[CheckReport]:
-    """Fuzz the aggregation bound of each spec over the same adversarial
-    instances; one report per spec, in spec order.
+    """Fuzz the aggregation bound of each spec on n inputs with Byzantine
+    budget B over the same adversarial instances; one report per spec, in
+    spec order.
 
     For each instance the bound is checked against every admissible
     good-set labeling of size G; more than ``MAX_LABELINGS`` of them is
@@ -236,10 +239,10 @@ def check_robustness(
     counted. Tolerance is relative to the larger of the bound and the
     instance scale.
 
-    The specs must share n and B. Instances are drawn ``FUZZ_BLOCK`` at a
-    time, in the order one at a time would draw them, and each block is
-    aggregated by one call per spec on its (T, n, d) array; the rules give
-    each instance the bits it gets alone. Each instance's labelings are
+    Instances are drawn ``FUZZ_BLOCK`` at a time, in the order one at a
+    time would draw them, and each block is aggregated by one call per
+    spec on its (T, n, d) array; the rules give each instance the bits it
+    gets alone. Each instance's labelings are
     scored once for every spec, so a spec's report does not depend on the
     specs fuzzed with it.
     """
@@ -247,10 +250,8 @@ def check_robustness(
         raise ConfigError("check_robustness needs at least one aggregator spec")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    n, B = specs[0].n, specs[0].B
-    if any((spec.n, spec.B) != (n, B) for spec in specs):
-        raise ConfigError("specs fuzzed together must share n and B, got "
-                          + ", ".join(f"{spec.name} (n={spec.n}, B={spec.B})" for spec in specs))
+    for spec in specs:
+        check_budget(spec.rule, n, B)
     if math.comb(n, B) > MAX_LABELINGS:
         raise ConfigError(f"n={n}, B={B} has {math.comb(n, B)} good-set labelings, "
                           f"more than the {MAX_LABELINGS} the fuzz checks")
@@ -264,7 +265,7 @@ def check_robustness(
     for start in range(0, trials, FUZZ_BLOCK):
         mats = np.stack([_instance(rng, n, B, d)
                          for _ in range(min(FUZZ_BLOCK, trials - start))])
-        aggs = [aggregate(spec, mats) for spec in specs]
+        aggs = [aggregate(spec, mats, B) for spec in specs]
         for t, mat in enumerate(mats):
             disp, good_max, dist_max, vbar = labelings.score(mat)
             positive = disp > 0
@@ -276,7 +277,7 @@ def check_robustness(
                 kappa_emp[j] = max(kappa_emp[j], float(ratios.max()))
                 if coefficients[j] is None:
                     continue
-                kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
+                kap = kappa if kappa is not None else theoretical_kappa(spec, n, B, d, lev_c)
                 rhs = np.where(positive, kap / G * disp, 0.0)
                 tol = tol_rel * np.maximum(np.maximum(rhs, dist_max), 1.0)
                 scores[j].add(rhs + tol - lhs)

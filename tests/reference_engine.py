@@ -231,7 +231,7 @@ def reference_run(config: RunConfig, capture_states: bool = False) -> RunResult:
             byz = byzantine_update(config.attack, k - 1, momenta, grads, G)
             sent = np.concatenate((momenta[:G], byz))
 
-        v = aggregate(config.aggregator, sent)
+        v = aggregate(config.aggregator, sent, config.B)
         if config.optimizer == "byz_nsgdm":
             direction = normalize(v)
             stepped = bool(direction.any())

@@ -45,7 +45,7 @@ def quartic_run(
         n=n,
         B=B,
         attack=AttackSpec(kind=attack),
-        aggregator=AggregatorSpec(rule=rule, n=n, B=B, nnm=nnm),
+        aggregator=AggregatorSpec(rule=rule, nnm=nnm),
         schedule=schedule or Schedule(kind="constant", gamma0=0.01, momentum_beta=0.9),
         optimizer="byz_nsgdm",
         K=K,
@@ -96,8 +96,8 @@ def test_criterion_2_robustness_certification():
     trials = 10_000
     kappa_gm = 2.0 * (1.0 + B / (n - 2 * B))
     kappa_cw = 2.0 * math.sqrt(d) * (1.0 + B / (n - 2 * B))
-    assert theoretical_kappa(AggregatorSpec(rule="gm", n=n, B=B), d) == pytest.approx(kappa_gm)
-    assert theoretical_kappa(AggregatorSpec(rule="cwmed", n=n, B=B), d) == pytest.approx(kappa_cw)
+    assert theoretical_kappa(AggregatorSpec(rule="gm"), n, B, d) == pytest.approx(kappa_gm)
+    assert theoretical_kappa(AggregatorSpec(rule="cwmed"), n, B, d) == pytest.approx(kappa_cw)
 
     entries = {c.names: c for c in BATTERY if c.names[0].startswith("robustness[")}
     names = tuple(f"robustness[{rule}]" for rule in ("gm+nnm", "cwmed+nnm", "gm", "cwmed"))
@@ -125,10 +125,16 @@ def test_criterion_2_robustness_certification():
 
 def test_criterion_3_l0l1_property_suite():
     """(12, 3) passes 1e4 random segments in the radius-5 ball; a bogus
-    (1e-6, 1e-6) pair is caught."""
+    (1e-6, 1e-6) pair is caught. The segments are the ``byzsim verify``
+    battery's ``l0l1[quartic]`` entry, run at 1e4 trials: stream (7, 4)."""
     meta = default_smoothness(QUARTIC)
     assert (meta.L0, meta.L1) == (12.0, 3.0)
-    rep = check_l0l1(QUARTIC, meta, 10_000, radius=5.0, rng=RngStream(7, 1), tol=1e-9)
+    [check] = [c for c in BATTERY if c.names == ("l0l1[quartic]",)]
+    assert check.expect == "certified"
+    [rep] = check.make(7, 10_000)
+    params = rep.parameters
+    assert (rep.instances, params["L0"], params["L1"], params["radius"], params["tol"]) == (
+        10_000, 12.0, 3.0, 5.0, 1e-9)
     assert rep.violations == 0
     bad = check_l0l1(QUARTIC, SmoothnessMeta(L0=1e-6, L1=1e-6, f_star=0.0),
                      1000, radius=5.0, rng=RngStream(7, 2), tol=1e-9)
@@ -151,7 +157,7 @@ def test_criterion_4_descent_along_trajectories():
         ("cwmed", True, "alie", 3, 1e-5, 1e-3),
         ("gm", False, "mimic", 3, 1e-10, 1e-6),
     ]:
-        kappa = theoretical_kappa(AggregatorSpec(rule=rule, n=20, B=B), 10) or 0.0
+        kappa = theoretical_kappa(AggregatorSpec(rule=rule), 20, B, 10) or 0.0
         cap = gamma0_cap(meta.L1, kappa, 500)
         cfg, res = quartic_run(
             B=B, rule=rule, nnm=nnm, attack=attack, noise=noise, shifts=shifts,
@@ -202,7 +208,7 @@ def test_criterion_6_bias_floor():
     floor = min(tail)
     assert floor >= 1e-4  # strictly positive stall, far above the clean run
     zeta = heterogeneity(attacked.honest_shifts)
-    kappa = theoretical_kappa(cfg.aggregator, 10)
+    kappa = theoretical_kappa(cfg.aggregator, cfg.n, cfg.B, 10)
     bound = 4 * kappa * zeta
     assert floor <= bound
     print(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -65,16 +66,16 @@ def grid_search_gm(mat, lo=-0.5, hi=1.5, steps=201):
 
 
 def test_mean_aggregate():
-    spec = AggregatorSpec(rule="mean", n=2, B=0)
+    spec = AggregatorSpec(rule="mean")
     np.testing.assert_array_equal(
-        aggregate(spec, [np.array([1.0, 1.0]), np.array([3.0, 3.0])]), [2.0, 2.0]
+        aggregate(spec, [np.array([1.0, 1.0]), np.array([3.0, 3.0])], 0), [2.0, 2.0]
     )
 
 
 def test_cwmed_of_identical_vectors():
-    spec = AggregatorSpec(rule="cwmed", n=5, B=2)
+    spec = AggregatorSpec(rule="cwmed")
     v = np.array([0.3, -1.2, 7.0])
-    np.testing.assert_array_equal(aggregate(spec, [v] * 5), v)
+    np.testing.assert_array_equal(aggregate(spec, [v] * 5, 2), v)
 
 
 def test_gm_fermat_point():
@@ -82,15 +83,36 @@ def test_gm_fermat_point():
     ((3-sqrt(3))/6, same), verified against a grid-search oracle."""
     mat = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     oracle = grid_search_gm(mat)
-    got = aggregate(AggregatorSpec(rule="gm", n=3, B=0), mat)
+    got = aggregate(AggregatorSpec(rule="gm"), mat, 0)
     np.testing.assert_allclose(got, oracle, atol=1e-4)
     np.testing.assert_allclose(got, [0.21132, 0.21132], atol=1e-4)
 
 
 def test_aggregate_wrong_count():
-    spec = AggregatorSpec(rule="mean", n=3, B=0)
-    with pytest.raises(ConfigError):
-        aggregate(spec, [np.zeros(2)] * 4)
+    """n is the number of vectors given: five can hold B = 2, four cannot."""
+    spec = AggregatorSpec(rule="mean")
+    np.testing.assert_array_equal(aggregate(spec, [np.zeros(2)] * 5, 2), np.zeros(2))
+    with pytest.raises(ConfigError, match=r"need 0 <= B < n/2, got B=2, n=4"):
+        aggregate(spec, [np.zeros(2)] * 4, 2)
+
+
+@pytest.mark.parametrize("rule", ["mean", "krum", "gm", "cwmed", "trimmed_mean"])
+@pytest.mark.parametrize("nnm", [False, True])
+@pytest.mark.parametrize("n,B,match", [
+    (7, -1, r"need 0 <= B < n/2, got B=-1, n=7"),
+    (6, 3, r"need 0 <= B < n/2, got B=3, n=6"),
+    (3, 1, r"krum needs n - B - 2 >= 1, got n=3, B=1"),
+], ids=["negative", "half", "krum"])
+def test_aggregate_checks_the_budget(rule, nnm, n, B, match):
+    """Every rule rejects a budget outside 0 <= B < n/2, for n vectors
+    or for each matrix of a block; only Krum needs n - B - 2 >= 1."""
+    spec = AggregatorSpec(rule=rule, nnm=nnm)
+    for shape in ((n, 2), (3, n, 2)):
+        if match.startswith("krum") and rule != "krum":
+            assert aggregate(spec, np.zeros(shape), B).shape == shape[:-2] + (2,)
+            continue
+        with pytest.raises(ConfigError, match=match):
+            aggregate(spec, np.zeros(shape), B)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +346,13 @@ def test_trimmed_mean_zero_trim_is_mean():
 # Equivariance properties (all rules)
 
 ALL_SPECS = [
-    AggregatorSpec(rule="mean", n=7, B=2),
-    AggregatorSpec(rule="krum", n=7, B=2),
-    AggregatorSpec(rule="gm", n=7, B=2),
-    AggregatorSpec(rule="cwmed", n=7, B=2),
-    AggregatorSpec(rule="trimmed_mean", n=7, B=2),
-    AggregatorSpec(rule="gm", n=7, B=2, nnm=True),
-    AggregatorSpec(rule="cwmed", n=7, B=2, nnm=True),
+    AggregatorSpec(rule="mean"),
+    AggregatorSpec(rule="krum"),
+    AggregatorSpec(rule="gm"),
+    AggregatorSpec(rule="cwmed"),
+    AggregatorSpec(rule="trimmed_mean"),
+    AggregatorSpec(rule="gm", nnm=True),
+    AggregatorSpec(rule="cwmed", nnm=True),
 ]
 
 
@@ -338,10 +360,10 @@ ALL_SPECS = [
 def test_permutation_invariance(spec):
     rng = np.random.default_rng(5)
     mat = rng.normal(size=(7, 3))  # distinct with probability 1
-    base = aggregate(spec, mat)
+    base = aggregate(spec, mat, 2)
     for _ in range(5):
         perm = rng.permutation(7)
-        np.testing.assert_allclose(aggregate(spec, mat[perm]), base, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(aggregate(spec, mat[perm], 2), base, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.rule + ("+nnm" if s.nnm else ""))
@@ -350,7 +372,7 @@ def test_translation_equivariance(spec):
     mat = rng.normal(size=(7, 3))
     t = rng.normal(size=3) * 10
     np.testing.assert_allclose(
-        aggregate(spec, mat + t), aggregate(spec, mat) + t, rtol=1e-9, atol=1e-8
+        aggregate(spec, mat + t, 2), aggregate(spec, mat, 2) + t, rtol=1e-9, atol=1e-8
     )
 
 
@@ -360,8 +382,8 @@ def test_translation_equivariance(spec):
 RULES = ("mean", "krum", "gm", "cwmed", "trimmed_mean")
 
 
-def stacked(spec, mats):
-    return np.stack([aggregate(spec, m) for m in mats])
+def stacked(spec, mats, B):
+    return np.stack([aggregate(spec, m, B) for m in mats])
 
 
 @st.composite
@@ -382,18 +404,18 @@ def test_block_equals_each_matrix_alone(mats, rule, nnm, data):
     n = mats.shape[1]
     B = data.draw(st.integers(0, (n - 1) // 2))
     assume(rule != "krum" or n - B - 2 >= 1)
-    spec = AggregatorSpec(rule=rule, n=n, B=B, nnm=nnm)
-    assert np.array_equal(aggregate(spec, mats), stacked(spec, mats))
+    spec = AggregatorSpec(rule=rule, nnm=nnm)
+    assert np.array_equal(aggregate(spec, mats, B), stacked(spec, mats, B))
 
 
 @pytest.mark.parametrize("rule", RULES)
 @pytest.mark.parametrize("nnm", [False, True])
 def test_block_of_one(rule, nnm):
     mat = np.random.default_rng(11).normal(size=(7, 3))
-    spec = AggregatorSpec(rule=rule, n=7, B=2, nnm=nnm)
-    got = aggregate(spec, mat[None])
+    spec = AggregatorSpec(rule=rule, nnm=nnm)
+    got = aggregate(spec, mat[None], 2)
     assert got.shape == (1, 3)
-    assert np.array_equal(got[0], aggregate(spec, mat))
+    assert np.array_equal(got[0], aggregate(spec, mat, 2))
 
 
 def test_gm_block_rows_stop_at_their_own_pass_counts():
@@ -430,11 +452,9 @@ def test_gm_block_row_falls_back_to_mean():
 
 @pytest.mark.parametrize("rule", RULES)
 def test_block_worker_count_checked_on_axis_minus_two(rule):
-    spec = AggregatorSpec(rule=rule, n=7, B=2)
-    with pytest.raises(ConfigError, match="expected 7 vectors, got 8"):
-        aggregate(spec, np.zeros((3, 8, 7)))
+    spec = AggregatorSpec(rule=rule)
     with pytest.raises(ConfigError, match=r"or a \(T, n, d\) block, got shape \(2, 3, 7, 1\)"):
-        aggregate(spec, np.zeros((2, 3, 7, 1)))
+        aggregate(spec, np.zeros((2, 3, 7, 1)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +476,14 @@ def test_certified_bound_all_labelings(mat, B, rule):
     if B >= n / 2:
         B = (n - 1) // 2
     G = n - B
-    spec = AggregatorSpec(rule=rule, n=n, B=B)
-    kappa = theoretical_kappa(spec, d)
+    spec = AggregatorSpec(rule=rule)
+    kappa = theoretical_kappa(spec, n, B, d)
     if rule == "gm":
         # tiny smoothing: the default 1e-8 leaves an O(nu) output error that
         # exceeds the probe tolerance on exact-duplicate clusters
         agg = geometric_median(mat, nu=1e-13, max_iters=500, tol=1e-15)
     else:
-        agg = aggregate(spec, mat)
+        agg = aggregate(spec, mat, B)
     for good in combinations(range(n), G):
         sub = mat[list(good)]
         vbar = sub.mean(axis=0)
@@ -478,36 +498,33 @@ def test_certified_bound_all_labelings(mat, B, rule):
 
 
 def test_kappa_gm():
-    spec = AggregatorSpec(rule="gm", n=20, B=3)
-    assert theoretical_kappa(spec, d=10) == pytest.approx(17.0 / 7.0)
+    assert theoretical_kappa(AggregatorSpec(rule="gm"), 20, 3, d=10) == pytest.approx(17.0 / 7.0)
 
 
 def test_kappa_cwmed():
-    spec = AggregatorSpec(rule="cwmed", n=20, B=3)
-    assert theoretical_kappa(spec, d=10) == pytest.approx(math.sqrt(10) * 17.0 / 7.0)
+    spec = AggregatorSpec(rule="cwmed")
+    assert theoretical_kappa(spec, 20, 3, d=10) == pytest.approx(math.sqrt(10) * 17.0 / 7.0)
 
 
 def test_kappa_gm_no_byzantines():
-    assert theoretical_kappa(AggregatorSpec(rule="gm", n=10, B=0), d=4) == pytest.approx(2.0)
+    assert theoretical_kappa(AggregatorSpec(rule="gm"), 10, 0, d=4) == pytest.approx(2.0)
 
 
 def test_kappa_absent_rules():
     for rule in ("mean", "krum", "trimmed_mean"):
-        assert theoretical_kappa(AggregatorSpec(rule=rule, n=10, B=2), d=4) is None
+        assert theoretical_kappa(AggregatorSpec(rule=rule), 10, 2, d=4) is None
 
 
 def test_kappa_nnm_composition():
-    spec = AggregatorSpec(rule="gm", n=20, B=3, nnm=True)
-    assert theoretical_kappa(spec, d=10) is None  # needs a leverage constant
+    spec = AggregatorSpec(rule="gm", nnm=True)
+    assert theoretical_kappa(spec, 20, 3, d=10) is None  # needs a leverage constant
     kappa = 2.0 * (1.0 + 3.0 / 14.0)
     expected = (8 * kappa + 4) * (3.0 / 17.0) * 2.0
-    assert theoretical_kappa(spec, d=10, leverage_c=2.0) == pytest.approx(expected)
+    assert theoretical_kappa(spec, 20, 3, d=10, leverage_c=2.0) == pytest.approx(expected)
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        AggregatorSpec(rule="mean", n=4, B=2)
-    with pytest.raises(ConfigError):
-        AggregatorSpec(rule="krum", n=3, B=1)
-    with pytest.raises(ConfigError):
-        AggregatorSpec(rule="median", n=4, B=1)
+    """A spec names the rule only; n and B come with the vectors."""
+    assert [f.name for f in fields(AggregatorSpec)] == ["rule", "nnm"]
+    with pytest.raises(ConfigError, match="unknown rule 'median'"):
+        AggregatorSpec(rule="median")

@@ -21,7 +21,7 @@ from byzsim.engine import (
     run_batch,
     schedule_values,
 )
-from byzsim.harness import write_trajectory_csv
+from byzsim.harness import parse_config, write_trajectory_csv
 from byzsim.objectives import (
     ObjectiveSpec,
     OracleConfig,
@@ -55,7 +55,7 @@ def quartic_config(
         n=n,
         B=B,
         attack=AttackSpec(kind=attack),
-        aggregator=AggregatorSpec(rule=rule, n=n, B=B, nnm=nnm),
+        aggregator=AggregatorSpec(rule=rule, nnm=nnm),
         schedule=schedule or Schedule(kind="constant", gamma0=0.01, momentum_beta=0.9),
         optimizer=optimizer,
         K=K,
@@ -287,16 +287,29 @@ def test_config_validation():
     cfg = quartic_config(attack="label_flip")
     with pytest.raises(ConfigError):
         run(cfg)
-    cfg = quartic_config()
-    cfg.aggregator = AggregatorSpec(rule="mean", n=5, B=0)
-    with pytest.raises(ConfigError):
-        run(cfg)
     with pytest.raises(ConfigError, match="oracle.labels"):
         run(softmax_config(oracle=OracleConfig(labels=())))
     with pytest.raises(ConfigError, match="unknown optimizer 'byz_nsgmd' in RunConfig"):
         run(quartic_config(optimizer="byz_nsgmd"))
     with pytest.raises(ConfigError, match="unknown init_momentum 'one'"):
         run(quartic_config(init_momentum="one"))
+
+
+def test_replaced_n_and_B_run_with_the_new_budget(tmp_path):
+    """n and B are stored once, on the run: a built config with n and B
+    replaced runs with the new budget, byte for byte the run of a config
+    file that states that n and B."""
+    d = {"schema": 1, "objective": {"kind": "quartic", "dim": 10},
+         "oracle": {"noise_variance": 1e-5, "shift_variance": 1e-3}, "n": 20, "B": 3,
+         "attack": {"kind": "bit_flip"}, "aggregator": {"rule": "krum", "nnm": True},
+         "schedule": {"kind": "constant", "gamma0": 0.01}, "K": 30, "seed": 4}
+    runs = {"replaced": replace(parse_config(d), n=9, B=2),
+            "stated": parse_config({**d, "n": 9, "B": 2}),
+            "other_B": parse_config({**d, "n": 9, "B": 3})}
+    for name, cfg in runs.items():
+        write_trajectory_csv(run(cfg).records, tmp_path / f"{name}.csv")
+    got = {name: (tmp_path / f"{name}.csv").read_bytes() for name in runs}
+    assert got["replaced"] == got["stated"] != got["other_B"]
 
 
 SOFTMAX_SPEC = ObjectiveSpec(kind="softmax", dim=12, n_classes=4, feature_dim=3,
@@ -310,7 +323,7 @@ def softmax_config(**kw):
         n=6,
         B=2,
         attack=AttackSpec(kind="label_flip", label_shift=2),
-        aggregator=AggregatorSpec(rule="cwmed", n=6, B=2),
+        aggregator=AggregatorSpec(rule="cwmed"),
         schedule=Schedule(kind="constant", gamma0=0.05, momentum_beta=0.9),
         optimizer="byz_nsgdm",
         K=40,
@@ -499,7 +512,7 @@ def lockstep_group(family, rule, nnm, init_momentum, log_every, rows):
                           for i in range(6))
             config = softmax_config(
                 oracle=OracleConfig(noise_variance=1e-4, labels=table),
-                aggregator=AggregatorSpec(rule=rule, n=6, B=2, nnm=nnm), K=6)
+                aggregator=AggregatorSpec(rule=rule, nnm=nnm), K=6)
         else:
             config = quartic_config(n=7, B=2, rule=rule, nnm=nnm, K=LOCKSTEP_K, dim=4,
                                     noise=1e-4, shifts=1e-3)
@@ -558,7 +571,7 @@ def test_lockstep_rows_diverge_alone():
     base = RunConfig(
         objective=ObjectiveSpec(kind="exponential", dim=3, direction=(0.5, -0.25, 1.0)),
         oracle=OracleConfig(), n=5, B=2, attack=AttackSpec(kind="mimic", mimic_warmup=0),
-        aggregator=AggregatorSpec(rule="mean", n=5, B=2),
+        aggregator=AggregatorSpec(rule="mean"),
         schedule=Schedule(kind="constant", gamma0=0.1, momentum_beta=0.0),
         optimizer="baseline", K=30, seed=0, x0=np.zeros(3))
     configs = [replace(base, schedule=Schedule(kind="constant", gamma0=g, momentum_beta=0.0),

@@ -266,6 +266,6 @@ def test_first_aggregate_matches_reference_oracle():
         v0 = stochastic_gradient(spec, cfg.x0, shifts[i], rng, oracle.noise_variance)
         g1 = stochastic_gradient(spec, cfg.x0, shifts[i], rng, oracle.noise_variance)
         momenta.append(v0 * (1.0 - eta) + eta * g1)
-    expected = aggregate(cfg.aggregator, np.stack(momenta))
+    expected = aggregate(cfg.aggregator, np.stack(momenta), cfg.B)
     got = run(cfg, capture_states=True).aggregates[0]
     np.testing.assert_array_equal(got, expected)

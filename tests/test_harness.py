@@ -386,6 +386,20 @@ def test_seed_past_64_bits_rejected_with_file_line(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("overrides, key, message", [
+    pytest.param({"B": -1}, "B", "need 0 <= B < n/2, got B=-1, n=6", id="negative"),
+    pytest.param({"B": 3}, "B", "need 0 <= B < n/2, got B=3, n=6", id="half"),
+    # The message names the rule first, so the line is the rule's.
+    pytest.param({"n": 3, "B": 1, "aggregator": {"rule": "krum"}}, "krum",
+                 "krum needs n - B - 2 >= 1, got n=3, B=1", id="krum"),
+])
+def test_byzantine_budget_rejected_with_file_line(tmp_path, overrides, key, message):
+    path = write_config(tmp_path, overrides)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), 1) if f'"{key}"' in row)
+    with pytest.raises(ConfigFileError, match=rf"config\.json:{line}: {re.escape(message)}$"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("n_classes, attack, key", [
     pytest.param(4, {"kind": "label_flip", "label_shift": 4}, "label_shift", id="shift-4-of-4"),
     pytest.param(4, {"kind": "label_flip", "label_shift": -8}, "label_shift",
@@ -654,10 +668,18 @@ def test_with_changes_sets_paths_and_leaves_input():
     assert d == BASE_CONFIG
 
 
-def test_changed_n_and_K_rederive_aggregator_and_horizon():
+def test_changed_n_and_K_rederive_aggregator_and_horizon(tmp_path):
+    """The rule runs with the changed n and B, and the horizon follows K:
+    the run's bytes are those of a config file that states them."""
     theoretical = {**BASE_CONFIG, "schedule": {"kind": "theoretical", "gamma0": 0.1}}
     cfg = parse_config(with_changes(theoretical, {"n": 10, "B": 4, "K": 30}))
-    assert (cfg.aggregator.n, cfg.aggregator.B, cfg.schedule.horizon) == (10, 4, 30)
+    assert (cfg.n, cfg.B, cfg.schedule.horizon) == (10, 4, 30)
+    stated = load_config(write_config(tmp_path, {
+        "n": 10, "B": 4, "K": 30,
+        "schedule": {"kind": "theoretical", "gamma0": 0.1, "horizon": 30}}))
+    for name, config in (("changed", cfg), ("stated", stated)):
+        write_trajectory_csv(run(config).records, tmp_path / f"{name}.csv")
+    assert (tmp_path / "changed.csv").read_bytes() == (tmp_path / "stated.csv").read_bytes()
 
 
 def test_B_axis_sets_the_aggregators_B(tmp_path):
@@ -667,11 +689,19 @@ def test_B_axis_sets_the_aggregators_B(tmp_path):
         "sweep": {"seeds": [1], "B": [1, 2]},
         "tuning": {"enabled": False},
     })
-    assert [(cell.B, cell.aggregator.B, axes) for cell, axes in manifest.cells] == [
-        (1, 1, {"B": 1}), (2, 2, {"B": 2})]
+    assert [(cell.B, axes) for cell, axes in manifest.cells] == [(1, {"B": 1}), (2, {"B": 2})]
     run_sweep(manifest, tmp_path / "out")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "bit_flip-cwmed+nnm-byz_nsgdm-B=1", "bit_flip-cwmed+nnm-byz_nsgdm-B=2", "summary.json"]
+    # Each cell's rule runs with the cell's own B: its trajectory is the
+    # run of a config that states that B.
+    swept = {}
+    for B in (1, 2):
+        stated = parse_config({**BASE_CONFIG, "K": 10, "B": B, "seed": 1})
+        write_trajectory_csv(run(stated).records, tmp_path / f"B={B}.csv")
+        swept[B] = (tmp_path / "out" / f"bit_flip-cwmed+nnm-byz_nsgdm-B={B}" / "seed_1.csv")
+        assert swept[B].read_bytes() == (tmp_path / f"B={B}.csv").read_bytes()
+    assert swept[1].read_bytes() != swept[2].read_bytes()
 
 
 def test_K_axis_sets_the_run_length(tmp_path):

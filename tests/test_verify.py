@@ -41,8 +41,8 @@ QUARTIC = ObjectiveSpec(kind="quartic", dim=10)
 @pytest.mark.parametrize("rule,nnm", [("gm", False), ("cwmed", False),
                                       ("gm", True), ("cwmed", True)])
 def test_certified_rules_have_no_violations(rule, nnm):
-    spec = AggregatorSpec(rule=rule, n=20, B=3, nnm=nnm)
-    [rep] = check_robustness(spec, trials=500, d=10, rng=RngStream(1, 0))
+    spec = AggregatorSpec(rule=rule, nnm=nnm)
+    [rep] = check_robustness(spec, n=20, B=3, trials=500, d=10, rng=RngStream(1, 0))
     assert rep.violations == 0
     assert rep.worst_margin >= 0
 
@@ -50,8 +50,8 @@ def test_certified_rules_have_no_violations(rule, nnm):
 def test_certified_small_configurations():
     for n, B, d in [(5, 1, 1), (7, 2, 3), (12, 5, 10)]:
         for rule in ("gm", "cwmed"):
-            spec = AggregatorSpec(rule=rule, n=n, B=B)
-            [rep] = check_robustness(spec, trials=300, d=d, rng=RngStream(2, n * 100 + B))
+            [rep] = check_robustness(AggregatorSpec(rule=rule), n=n, B=B, trials=300, d=d,
+                                     rng=RngStream(2, n * 100 + B))
             assert rep.violations == 0, (rule, n, B, d)
 
 
@@ -59,30 +59,30 @@ def test_nnm_without_byzantines_is_exact():
     """B=0 composes to a zero coefficient: mixing maps every input to the
     global mean, so the aggregate must coincide with it."""
     for rule in ("gm", "cwmed"):
-        spec = AggregatorSpec(rule=rule, n=6, B=0, nnm=True)
-        [rep] = check_robustness(spec, trials=200, d=4, rng=RngStream(12, 0))
+        spec = AggregatorSpec(rule=rule, nnm=True)
+        [rep] = check_robustness(spec, n=6, B=0, trials=200, d=4, rng=RngStream(12, 0))
         assert rep.violations == 0, rule
 
 
 def test_empirical_kappa_below_theoretical():
-    spec = AggregatorSpec(rule="gm", n=20, B=3)
-    [rep] = check_robustness(spec, trials=500, d=10, rng=RngStream(3, 0))
+    spec = AggregatorSpec(rule="gm")
+    [rep] = check_robustness(spec, n=20, B=3, trials=500, d=10, rng=RngStream(3, 0))
     assert rep.parameters["kappa_empirical"] <= rep.parameters["kappa_theoretical"]
 
 
 def test_mean_must_violate():
     """Fuzzer sanity: the plain mean with one Byzantine slot breaks any
     finite coefficient."""
-    spec = AggregatorSpec(rule="mean", n=20, B=3)
-    [rep] = check_robustness(spec, trials=200, d=10, rng=RngStream(4, 0), kappa=1e6)
+    spec = AggregatorSpec(rule="mean")
+    [rep] = check_robustness(spec, n=20, B=3, trials=200, d=10, rng=RngStream(4, 0), kappa=1e6)
     assert rep.violations > 0
     assert rep.worst_margin < 0
 
 
 def test_uncertified_rules_report_only():
     for rule in ("krum", "trimmed_mean"):
-        spec = AggregatorSpec(rule=rule, n=20, B=3)
-        [rep] = check_robustness(spec, trials=200, d=10, rng=RngStream(5, 0))
+        spec = AggregatorSpec(rule=rule)
+        [rep] = check_robustness(spec, n=20, B=3, trials=200, d=10, rng=RngStream(5, 0))
         assert rep.violations == 0  # nothing asserted
         assert not rep.parameters["asserted"]
         assert rep.parameters["kappa_empirical"] > 0
@@ -91,16 +91,15 @@ def test_uncertified_rules_report_only():
 def test_too_many_labelings_rejected_before_any_draw():
     """C(30, 8) labelings are far past the cap: the check refuses before
     it draws an instance (the stand-in stream has no methods)."""
-    spec = AggregatorSpec(rule="gm", n=30, B=8)
+    spec = AggregatorSpec(rule="gm")
     with pytest.raises(ConfigError, match="5852925 good-set labelings"):
-        check_robustness(spec, trials=10, d=4, rng=object())
+        check_robustness(spec, n=30, B=8, trials=10, d=4, rng=object())
 
 
-def reference_check_robustness(spec, trials, d, rng, kappa=None, tol_rel=1e-9):
+def reference_check_robustness(spec, n, B, trials, d, rng, kappa=None, tol_rel=1e-9):
     """The fuzz one instance at a time, scoring the labelings from the
     whole (labelings, n, d) difference tensor, its squared coordinates
     added in order: the loop that ``check_robustness`` blocks."""
-    n, B = spec.n, spec.B
     G = n - B
     kappa_base = base_kappa(spec.rule, n, B, d)
     asserted = kappa is not None or kappa_base is not None
@@ -116,7 +115,7 @@ def reference_check_robustness(spec, trials, d, rng, kappa=None, tol_rel=1e-9):
         byz_pos = np.sort(rng.choice(n, B)) if B > 0 else np.empty(0, dtype=int)
         mat[np.setdiff1d(np.arange(n), byz_pos)] = goods
         mat[byz_pos] = byz
-        agg = aggregate(spec, mat)
+        agg = aggregate(spec, mat, B)
 
         vbar = (mat.sum(axis=0) - mat[subs].sum(axis=1)) / G
         diff = mat[None, :, :] - vbar[:, None, :]
@@ -135,7 +134,7 @@ def reference_check_robustness(spec, trials, d, rng, kappa=None, tol_rel=1e-9):
         if not asserted:
             continue
         lev_c = np.where(positive, good_max * G / np.maximum(disp, 1e-300), 0.0)
-        kap = kappa if kappa is not None else theoretical_kappa(spec, d, lev_c)
+        kap = kappa if kappa is not None else theoretical_kappa(spec, n, B, d, lev_c)
         rhs = np.where(positive, kap / G * disp, 0.0)
         tol = tol_rel * np.maximum(np.maximum(rhs, dist.max(axis=1)), 1.0)
         score.add(rhs + tol - lhs)
@@ -152,11 +151,12 @@ def reference_check_robustness(spec, trials, d, rng, kappa=None, tol_rel=1e-9):
 def test_blocked_fuzz_reports_equal_one_at_a_time(rule, nnm, kappa):
     """Blocks of instances give the reports of the one-at-a-time loop, to
     the byte, on either side of each block boundary."""
-    spec = AggregatorSpec(rule=rule, n=20, B=3, nnm=nnm)
+    spec = AggregatorSpec(rule=rule, nnm=nnm)
     for trials in (1, FUZZ_BLOCK - 1, FUZZ_BLOCK, FUZZ_BLOCK + 1, 150):
-        [got] = check_robustness(spec, trials=trials, d=10, rng=RngStream(21, trials),
-                                 kappa=kappa)
-        want = reference_check_robustness(spec, trials, 10, RngStream(21, trials), kappa=kappa)
+        [got] = check_robustness(spec, n=20, B=3, trials=trials, d=10,
+                                 rng=RngStream(21, trials), kappa=kappa)
+        want = reference_check_robustness(spec, 20, 3, trials, 10, RngStream(21, trials),
+                                          kappa=kappa)
         assert got.to_json() == want.to_json(), trials
 
 
@@ -164,13 +164,14 @@ def test_blocked_fuzz_reports_equal_one_at_a_time(rule, nnm, kappa):
 def test_blocked_fuzz_matches_at_other_shapes(n, B, d):
     """One coordinate, a few, more than eight, and no Byzantine slots at
     all."""
-    spec = AggregatorSpec(rule="gm", n=n, B=B, nnm=True)
-    [got] = check_robustness(spec, trials=60, d=d, rng=RngStream(22, n))
-    assert got.to_json() == reference_check_robustness(spec, 60, d, RngStream(22, n)).to_json()
+    spec = AggregatorSpec(rule="gm", nnm=True)
+    [got] = check_robustness(spec, n=n, B=B, trials=60, d=d, rng=RngStream(22, n))
+    want = reference_check_robustness(spec, n, B, 60, d, RngStream(22, n))
+    assert got.to_json() == want.to_json()
 
 
-def _specs(n, B, names):
-    return [AggregatorSpec(rule=name.removesuffix("+nnm"), n=n, B=B, nnm=name.endswith("+nnm"))
+def _specs(names):
+    return [AggregatorSpec(rule=name.removesuffix("+nnm"), nnm=name.endswith("+nnm"))
             for name in names]
 
 
@@ -184,11 +185,13 @@ SHARED_GROUPS = [
 
 
 def assert_shared_pass_equals_each_alone(names, kappa, n, B, d, trials, stream):
-    specs = _specs(n, B, names)
-    got = check_robustness(*specs, trials=trials, d=d, rng=RngStream(23, stream), kappa=kappa)
+    specs = _specs(names)
+    got = check_robustness(*specs, n=n, B=B, trials=trials, d=d, rng=RngStream(23, stream),
+                           kappa=kappa)
     assert [rep.name for rep in got] == [f"robustness[{name}]" for name in names]
     for spec, rep in zip(specs, got):
-        want = reference_check_robustness(spec, trials, d, RngStream(23, stream), kappa=kappa)
+        want = reference_check_robustness(spec, n, B, trials, d, RngStream(23, stream),
+                                          kappa=kappa)
         assert rep.to_json() == want.to_json(), (spec.name, trials)
 
 
@@ -207,11 +210,18 @@ def test_shared_pass_matches_at_other_shapes(names, kappa, n, B, d):
     assert_shared_pass_equals_each_alone(names, kappa, n, B, d, 60, n)
 
 
-@pytest.mark.parametrize("other", [dict(n=21, B=3), dict(n=20, B=2)], ids=["n", "B"])
-def test_shared_pass_rejects_specs_of_other_sizes(other):
-    specs = (AggregatorSpec(rule="gm", n=20, B=3), AggregatorSpec(rule="cwmed", **other))
-    with pytest.raises(ConfigError, match="must share n and B"):
-        check_robustness(*specs, trials=10, d=4, rng=object())
+@pytest.mark.parametrize("n,B,match", [
+    (20, -1, r"need 0 <= B < n/2, got B=-1, n=20"),
+    (20, 10, r"need 0 <= B < n/2, got B=10, n=20"),
+    (3, 1, r"krum needs n - B - 2 >= 1, got n=3, B=1"),
+], ids=["negative", "half", "krum"])
+def test_fuzz_checks_the_budget_before_any_draw(n, B, match):
+    """Every spec of a pass is checked against (n, B) before an instance is
+    drawn (the stand-in stream has no methods); Krum, fuzzed after gm,
+    has a bound of its own."""
+    specs = (AggregatorSpec(rule="gm"), AggregatorSpec(rule="krum"))
+    with pytest.raises(ConfigError, match=match):
+        check_robustness(*specs, n=n, B=B, trials=10, d=4, rng=object())
 
 
 def test_labelings_are_read_only():
@@ -224,8 +234,8 @@ def test_labelings_are_read_only():
 
 
 def test_median_ignores_single_huge_outlier():
-    spec = AggregatorSpec(rule="cwmed", n=3, B=1)
-    out = aggregate(spec, np.array([[0.0], [0.0], [1e9]]))
+    spec = AggregatorSpec(rule="cwmed")
+    out = aggregate(spec, np.array([[0.0], [0.0], [1e9]]), 1)
     assert out[0] == 0.0
 
 
@@ -236,17 +246,16 @@ def test_definition_bound_on_degenerate_cluster():
     mat[:17] = 1.234
     mat[17:] = 1e9 / math.sqrt(10)
     for nnm in (False, True):
-        spec = AggregatorSpec(rule="gm", n=20, B=3, nnm=nnm)
-        agg = aggregate(spec, mat)
+        agg = aggregate(AggregatorSpec(rule="gm", nnm=nnm), mat, 3)
         lhs = np.linalg.norm(agg - mat[0])
         maxdev = np.linalg.norm(mat[17] - mat[0])
         assert lhs <= 1e-9 * maxdev  # dispersion is 0, bound reduces to tolerance
 
 
 def test_report_roundtrip_and_determinism():
-    spec = AggregatorSpec(rule="gm", n=8, B=2)
-    [rep1] = check_robustness(spec, trials=100, d=4, rng=RngStream(6, 0))
-    [rep2] = check_robustness(spec, trials=100, d=4, rng=RngStream(6, 0))
+    spec = AggregatorSpec(rule="gm")
+    [rep1] = check_robustness(spec, n=8, B=2, trials=100, d=4, rng=RngStream(6, 0))
+    [rep2] = check_robustness(spec, n=8, B=2, trials=100, d=4, rng=RngStream(6, 0))
     assert rep1.as_dict() == rep2.as_dict()
     parsed = json.loads(rep1.to_json())
     assert parsed["instances"] == 100
@@ -349,7 +358,7 @@ def descent_config(**kw):
         n=1,
         B=0,
         attack=AttackSpec(kind="none"),
-        aggregator=AggregatorSpec(rule="mean", n=1, B=0),
+        aggregator=AggregatorSpec(rule="mean"),
         schedule=Schedule(kind="constant", gamma0=0.01, momentum_beta=0.9),
         optimizer="byz_nsgdm",
         K=200,
@@ -369,13 +378,13 @@ def test_descent_noiseless_single_worker():
 
 
 def test_descent_under_attack_within_cap():
-    kappa = theoretical_kappa(AggregatorSpec(rule="gm", n=20, B=3), d=10)
+    kappa = theoretical_kappa(AggregatorSpec(rule="gm"), 20, 3, d=10)
     cap = gamma0_cap(3.0, kappa, 300)
     cfg = descent_config(
         n=20, B=3,
         oracle=OracleConfig(noise_variance=1e-5, shift_variance=1e-3),
         attack=AttackSpec(kind="bit_flip"),
-        aggregator=AggregatorSpec(rule="gm", n=20, B=3, nnm=True),
+        aggregator=AggregatorSpec(rule="gm", nnm=True),
         schedule=Schedule(kind="constant", gamma0=min(0.01, cap), momentum_beta=0.9),
         K=300, seed=2,
     )
