@@ -242,9 +242,13 @@ def check_robustness(
     Instances are drawn ``FUZZ_BLOCK`` at a time, in the order one at a
     time would draw them, and each block is aggregated by one call per
     spec on its (T, n, d) array; the rules give each instance the bits it
-    gets alone. Each instance's labelings are
-    scored once for every spec, so a spec's report does not depend on the
-    specs fuzzed with it.
+    gets alone. Each instance's labelings are scored once for every spec,
+    and what depends on the instance alone (the good means, dispersions,
+    leverage constants and the tolerance's scale floor) is computed once
+    per instance; only the distance of a spec's aggregate to the good
+    means, and its bound, are per spec. So a spec's report does not
+    depend on the specs fuzzed with it, asserted or reported, and a
+    reported rule costs only its aggregation and that distance.
     """
     if not specs:
         raise ConfigError("check_robustness needs at least one aggregator spec")
@@ -271,6 +275,7 @@ def check_robustness(
             positive = disp > 0
             safe_disp = np.maximum(disp, 1e-300)
             lev_c = np.where(positive, good_max * G / safe_disp, 0.0)
+            tol_floor = np.maximum(dist_max, 1.0)
             for j, spec in enumerate(specs):
                 lhs = norms(aggs[j][t] - vbar)
                 ratios = np.where(positive, lhs * G / safe_disp, 0.0)
@@ -279,7 +284,7 @@ def check_robustness(
                     continue
                 kap = kappa if kappa is not None else theoretical_kappa(spec, n, B, d, lev_c)
                 rhs = np.where(positive, kap / G * disp, 0.0)
-                tol = tol_rel * np.maximum(np.maximum(rhs, dist_max), 1.0)
+                tol = tol_rel * np.maximum(rhs, tol_floor)
                 scores[j].add(rhs + tol - lhs)
 
     return [

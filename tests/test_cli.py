@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import byzsim
 from byzsim import cli, harness
 from byzsim.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 SRC = str(Path(byzsim.__file__).resolve().parent.parent)
 
 CONFIG = {
@@ -308,3 +310,59 @@ def test_verify_streams_its_lines(tmp_path, capsys, monkeypatch):
     (printed,) = seen
     lines = [line for line in printed.splitlines() if line.startswith("PASS robustness[")]
     assert len(lines) == 7
+
+
+def readme_battery() -> dict[str, str]:
+    """Report name -> expectation, from README's battery table."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| entry | expectation | stream | instances |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        entry, expect = line.split(" | ")[:2]
+        table.update((name, expect) for name in re.findall(r"`([^`]+)`", entry))
+    return table
+
+
+def test_verify_prints_readme_expectation_for_each_report(tmp_path, capsys):
+    """Each report line passes and carries the expectation README's table
+    gives its report: the reported rules of a certified pass print
+    (reported)."""
+    assert main(["verify", "--trials", "20", "--out", str(tmp_path)]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        m = re.fullmatch(r"(PASS|FAIL) (\S+): .* \((\w+)\)", line)
+        if m:
+            printed[m[2]] = (m[1], m[3])
+    table = readme_battery()
+    assert table["robustness[krum]"] == table["robustness[trimmed_mean]"] == "reported"
+    assert printed == {name: ("PASS", expect) for name, expect in table.items()}
+
+
+def test_battery_fuzzes_every_rule_but_the_teeth_check_in_one_stream_1_pass(monkeypatch):
+    """One robustness entry besides the teeth check: every rule on stream
+    (s, 1) with T instances, gm+nnm first, since the benchmark files a
+    shared pass's time under its first report. The teeth check keeps
+    stream (s, 3) and max(T // 10, 100) instances."""
+    calls = []
+
+    class Recording(cli.RngStream):
+        def __init__(self, seed, stream_id=0):
+            calls.append((seed, stream_id))
+            super().__init__(seed, stream_id)
+
+    def check_robustness(*specs, trials, **kwargs):
+        calls.append(([spec.name for spec in specs], trials))
+        return []
+
+    monkeypatch.setattr(cli, "RngStream", Recording)
+    monkeypatch.setattr(cli, "check_robustness", check_robustness)
+    entries = [c for c in cli.BATTERY if c.names[0].startswith("robustness[")]
+    assert [c.expect for c in entries] == ["certified", "teeth"]
+    rules = ["gm+nnm", "cwmed+nnm", "gm", "cwmed", "krum", "trimmed_mean"]
+    assert entries[0].names == tuple(f"robustness[{rule}]" for rule in rules)
+    assert entries[1].names == ("robustness[mean]",)
+    for check in entries:
+        check.make(5, 2000)
+    assert calls == [(5, 1), (rules, 2000), (5, 3), (["mean"], 200)]

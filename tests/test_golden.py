@@ -165,7 +165,7 @@ TABLE1_SWEEP = "e867d21cc6edc5abe62b5daed1bd7fb97a272d00fa4284ed828f7e9a6c38d7e7
 # gamma0, seed) order.
 ABLATION_FINALS = "2e29367e088ce3d516c6e6b7c15aebf89fd62a2b092d8de637e8c92c10359faa"
 # byzsim verify --trials 150 --seed 1: tree_sha256 of its 12 reports.
-VERIFY_REPORTS = "6a49ab1da569640fb364fbc8a3b0b365a321d13fe063d0626f68b4aad587d86b"
+VERIFY_REPORTS = "ce21195c61c12df90fc3e64d58e9bce79552b4e3dfca33b729998ad6cd2b6ede"
 
 
 def tree_sha256(root) -> str:

@@ -175,10 +175,12 @@ def _specs(names):
             for name in names]
 
 
-# Bare and NNM rules, as the battery shares stream 1; an asserted rule with
-# a reported one; every rule under one explicit coefficient.
+# Every rule of the battery's stream-1 pass, asserted and reported, bare
+# and NNM; an asserted rule with a reported one; every rule under one
+# explicit coefficient.
 SHARED_GROUPS = [
-    pytest.param(("gm+nnm", "cwmed+nnm", "gm", "cwmed"), None, id="battery-stream-1"),
+    pytest.param(("gm+nnm", "cwmed+nnm", "gm", "cwmed", "krum", "trimmed_mean"), None,
+                 id="battery-stream-1"),
     pytest.param(("gm", "krum"), None, id="asserted-and-reported"),
     pytest.param(("mean", "cwmed+nnm", "trimmed_mean"), 1e6, id="explicit-kappa"),
 ]

@@ -14,6 +14,12 @@ higher is better as ``BENCHMARK.json`` declares), the seed and the
 machine (cores, Python, numpy, OpenBLAS, the SIMD extensions numpy
 dispatches to, and any ``OPENBLAS_CORETYPE`` or ``NPY_DISABLE_CPU_FEATURES``
 set for the runs).
+
+Each metric's relative change of the medians, (change - parent) / parent,
+is printed and written as ``relative_change``. An end-to-end metric whose
+change is worse than its ``BENCHMARK.json`` bound is flagged
+(``past_bound``, a ``REGRESSION`` line), and the script then exits with
+status 1.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import signal
@@ -80,6 +87,19 @@ def _machine() -> dict:
             "env": {name: os.environ[name] for name in DISPATCH_ENV if name in os.environ}}
 
 
+def relative_change(parent: float, change: float) -> float:
+    """(change - parent) / parent; 0 when both are 0."""
+    if parent == change:
+        return 0.0
+    return (change - parent) / parent if parent else math.copysign(math.inf, change - parent)
+
+
+def past_bound(rel: float, better: str, bound: float | None) -> bool:
+    """Whether a relative change is worse than ``bound`` in the metric's
+    worse direction; a metric with no bound never is."""
+    return bound is not None and (rel > bound if better == "lower" else rel < -bound)
+
+
 def _exit_on_sigterm(signum, frame):
     # SystemExit, unlike SIGTERM's default action, lets ``subprocess.run``
     # kill a running bench child and the ``with`` block remove the
@@ -103,6 +123,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2 to give quartiles")
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,19 +142,27 @@ def main(argv=None) -> int:
     for name in runs["parent"][0]:
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
-        sign = -1 if better.get(name, "lower") == "lower" else 1
-        metrics[name] = {
-            "better": better.get(name, "lower"),
+        direction = better.get(name, "lower")
+        sign = -1 if direction == "lower" else 1
+        m = metrics[name] = {
+            "better": direction,
             "parent": _summary(parent),
             "change": _summary(change),
             "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
         }
+        m["relative_change"] = rel = relative_change(m["parent"]["median"],
+                                                     m["change"]["median"])
+        m["past_bound"] = past_bound(rel, direction, bounds.get(name))
+        print(f"{'REGRESSION' if m['past_bound'] else 'ok'} {name}: "
+              f"{m['parent']['median']:.6g} -> {m['change']['median']:.6g} ({rel:+.1%}, "
+              f"bound {bounds.get(name, 'none')}, {m['wins']}/{args.pairs} pairs won)",
+              file=sys.stderr)
     report = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
               "seconds": args.seconds, "parent": sha, "machine": _machine(),
               "metrics": metrics}
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    return 1 if any(m["past_bound"] for m in metrics.values()) else 0
 
 
 if __name__ == "__main__":
